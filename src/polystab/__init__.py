@@ -21,14 +21,13 @@ from .braid import (
     DEFAULT_K_MAX,
     SIGN,
     TRIVIAL,
+    CellModelError,
     Composition,
     build_fn_complex,
     config_homology,
     dk_homology,
     dual_fn_complex,
     enumerate_cells,
-    get_default_cache,
-    set_default_cache,
     shuffle_sum,
 )
 from .cache import BraidHomologyKey, HomologyCache, default_cache_dir

@@ -44,18 +44,9 @@ SIGN = "sign"
 
 DEFAULT_K_MAX = 10
 
-_memo: dict[tuple[int, str], GradedAbelianGroup] = {}
-_default_cache: HomologyCache | None = None
 
-
-def set_default_cache(cache: HomologyCache | None) -> None:
-    """Install (or remove) the process-wide persistent cache."""
-    global _default_cache
-    _default_cache = cache
-
-
-def get_default_cache() -> HomologyCache | None:
-    return _default_cache
+class CellModelError(RuntimeError):
+    """The cell model failed its boundary-squared self-check: a sign bug, not user error."""
 
 
 @dataclass(frozen=True)
@@ -103,29 +94,33 @@ def _compositions_by_parts(k: int) -> dict[int, tuple[tuple[int, ...], ...]]:
     return {r: tuple(v) for r, v in by_parts.items()}
 
 
-@lru_cache(maxsize=None)
 def shuffle_sum(a: int, b: int, signed: bool) -> int:
     """Sum over order-preserving interleavings of blocks of sizes a and b.
 
     With ``signed`` each interleaving contributes the sign of its permutation;
-    otherwise each contributes 1 (so the sum is just binomial(a+b, a)).
+    otherwise each contributes 1 (so the sum is just binomial(a+b, a)).  The
+    signed sum is the Gaussian binomial [a+b choose a] at q = -1: zero when a
+    and b are both odd, else binomial(floor((a+b)/2), floor(a/2)).
     """
     if a < 1 or b < 1:
         raise ValueError("block sizes must be positive")
     if not signed:
         return comb(a + b, a)
-    total = 0
-    for positions in combinations(range(a + b), a):
-        inversions = sum(p - idx for idx, p in enumerate(positions))
-        total += -1 if inversions % 2 else 1
-    return total
+    if a % 2 and b % 2:
+        return 0
+    return comb((a + b) // 2, a // 2)
 
 
 @lru_cache(maxsize=None)
 def _merge_table(
     k: int, system: str
 ) -> dict[tuple[int, ...], tuple[tuple[tuple[int, ...], int], ...]]:
-    """Boundary of each cell: merged composition with its signed coefficient."""
+    """Boundary of each cell: merged composition with its signed coefficient.
+
+    Cells are visited by increasing part count, so the boundary of every
+    merged cell is already in the table and boundary-squared = 0 is checked
+    cell by cell as the table grows; a failure raises :class:`CellModelError`.
+    """
     signed = system == TRIVIAL
     table = {}
     for comps in _compositions_by_parts(k).values():
@@ -139,24 +134,16 @@ def _merge_table(
                     merged = comp[:i] + (comp[i] + comp[i + 1],) + comp[i + 2 :]
                     terms[merged] = terms.get(merged, 0) + coeff
             table[comp] = tuple((t, c) for t, c in terms.items() if c)
+            square: dict[tuple[int, ...], int] = {}
+            for mid, c1 in table[comp]:
+                for target, c2 in table[mid]:
+                    square[target] = square.get(target, 0) + c1 * c2
+            if any(square.values()):
+                raise CellModelError(
+                    f"cell-model self-check failed: boundary squared of {comp} is nonzero "
+                    f"(k={k}, {system} system)"
+                )
     return table
-
-
-@lru_cache(maxsize=None)
-def _validate_merge_table(k: int, system: str) -> bool:
-    """Check boundary-squared = 0 cell by cell; a failure is a sign bug, not user error."""
-    table = _merge_table(k, system)
-    for comp, terms in table.items():
-        acc: dict[tuple[int, ...], int] = {}
-        for mid, c1 in terms:
-            for target, c2 in table[mid]:
-                acc[target] = acc.get(target, 0) + c1 * c2
-        if any(acc.values()):
-            raise RuntimeError(
-                f"cell-model self-check failed: boundary squared of {comp} is nonzero "
-                f"(k={k}, {system} system)"
-            )
-    return True
 
 
 def enumerate_cells(k: int, k_max: int = DEFAULT_K_MAX) -> dict[int, list[Composition]]:
@@ -173,25 +160,13 @@ def build_fn_complex(k: int, system: str, k_max: int = DEFAULT_K_MAX) -> ChainCo
 
     Degree j holds the cells of dimension j (compositions with j - k parts);
     the differential merges adjacent blocks as described in the module
-    docstring.  Construction aborts if the boundary-squared self-check fails.
+    docstring.  It is :func:`dual_fn_complex` transposed and regraded.
     """
-    _check_k(k, k_max)
-    _check_system(system)
-    _validate_merge_table(k, system)
-    by_parts = _compositions_by_parts(k)
-    table = _merge_table(k, system)
-    counts = {k + r: len(by_parts[r]) for r in range(1, k + 1)}
-    boundary: dict[int, IntMatrix] = {}
-    for r in range(2, k + 1):
-        sources = by_parts[r]
-        targets = by_parts[r - 1]
-        index = {c: i for i, c in enumerate(targets)}
-        mat = [[0] * len(sources) for _ in targets]
-        for col, comp in enumerate(sources):
-            for target, coeff in table[comp]:
-                mat[index[target]][col] += coeff
-        boundary[k + r] = IntMatrix(len(targets), len(sources), mat)
-    return ChainComplex(counts, boundary)
+    dual = dual_fn_complex(k, system, k_max)
+    return ChainComplex(
+        {2 * k - i: n for i, n in dual.generator_counts.items()},
+        {2 * k - i + 1: d.transpose() for i, d in dual.boundary.items()},
+    )
 
 
 def dual_fn_complex(k: int, system: str, k_max: int = DEFAULT_K_MAX) -> ChainComplex:
@@ -200,24 +175,16 @@ def dual_fn_complex(k: int, system: str, k_max: int = DEFAULT_K_MAX) -> ChainCom
     A cell of dimension j lands in degree 2k - j; the boundary in degree i is
     the transpose of the merge differential into the cells with k - i parts.
     Poincare duality for the open 2k-manifold makes this compute ordinary
-    homology with the chosen rank-one system.
+    homology with the chosen rank-one system.  Construction raises
+    :class:`CellModelError` if the boundary-squared self-check fails.
     """
     _check_k(k, k_max)
     _check_system(system)
-    _validate_merge_table(k, system)
-    by_parts = _compositions_by_parts(k)
-    table = _merge_table(k, system)
-    counts = {i: len(by_parts[k - i]) for i in range(k)}
-    boundary: dict[int, IntMatrix] = {}
-    for i in range(1, k):
-        sources = by_parts[k - i]  # degree i generators
-        targets = by_parts[k - i + 1]  # degree i-1 generators
-        col_index = {c: j for j, c in enumerate(sources)}
-        mat = [[0] * len(sources) for _ in targets]
-        for row, comp in enumerate(targets):
-            for merged, coeff in table[comp]:
-                mat[row][col_index[merged]] += coeff
-        boundary[i] = IntMatrix(len(targets), len(sources), mat)
+    counts = {i: comb(k - 1, i) for i in range(k)}
+    boundary = {
+        i: IntMatrix(counts[i - 1], counts[i], _dual_boundary_rows(k, system, i))
+        for i in range(1, k)
+    }
     return ChainComplex(counts, boundary)
 
 
@@ -268,30 +235,22 @@ def config_homology(
 ) -> GradedAbelianGroup:
     """H_*(C_k(C); L x ring) for L the trivial or sign rank-one system.
 
-    Integral results are memoized in-process and, when a cache is configured,
-    persisted; ``through`` truncates the computed degree range (the groups
-    vanish in degrees >= k anyway).
+    Integral tables are read from and written to ``cache`` when one is given
+    (its in-memory front makes repeated queries in one process free); without
+    a cache every call recomputes.  Field dimensions are always computed.
+    ``through`` truncates the degree range (the groups vanish in degrees >= k
+    anyway).
     """
     _check_k(k, k_max)
     _check_system(system)
     if ring != Z:
-        _validate_merge_table(k, system)
         return GradedAbelianGroup({i: AbelianGroup(d) for i, d in _field_dims(k, system, ring, through).items()})
-    key = (k, system)
-    disk = cache if cache is not None else _default_cache
-    cache_key = BraidHomologyKey(k, system)
-    result = _memo.get(key)
+    key = BraidHomologyKey(k, system)
+    result = cache.get(key) if cache is not None else None
     if result is None:
-        if disk is not None:
-            result = disk.get(cache_key)
-        if result is None:
-            result = complex_homology(dual_fn_complex(k, system, k_max=k_max), Z)
-            if disk is not None:
-                disk.put(cache_key, result)
-        _memo[key] = result
-    elif disk is not None and not disk.path_for(cache_key).exists():
-        # memo was warm before this cache was configured; persist for others
-        disk.put(cache_key, result)
+        result = complex_homology(dual_fn_complex(k, system, k_max=k_max), Z)
+        if cache is not None:
+            cache.put(key, result)
     if through is not None:
         result = GradedAbelianGroup(
             {d: result.group(d) for d in result.degrees() if d <= through}

@@ -4,7 +4,9 @@ One file per (k, coefficient system) key.  Files are JSON beginning with a
 format/version tag and the key itself; writes go through a temporary file and
 an atomic rename so concurrent readers never see a partial entry.  Anything
 unreadable is treated as a miss (corrupt entries additionally warn) and gets
-recomputed.
+recomputed; an entry whose degrees or Euler characteristic cannot belong to
+its key counts as corrupt.  Each :class:`HomologyCache` also keeps in memory
+every table it wrote or read, so a process reads each entry at most once.
 """
 
 from __future__ import annotations
@@ -44,16 +46,33 @@ def default_cache_dir() -> Path:
     return base / "polystab"
 
 
+def _check_table(key: BraidHomologyKey, table: GradedAbelianGroup) -> None:
+    """Reject a table that cannot be H_*(C_k) for this key.
+
+    The cell model has binomial(k-1, i) cells in degree i, so the homology
+    lives in degrees 0..k-1 and its Euler characteristic is 1 for k = 1 and 0
+    for k >= 2, whatever the coefficient system.
+    """
+    if any(not 0 <= d < key.k for d in table.degrees()):
+        raise ValueError(f"degrees {table.degrees()} outside 0..{key.k - 1}")
+    euler = sum((-1) ** d * table.free_rank(d) for d in table.degrees())
+    if euler != (1 if key.k == 1 else 0):
+        raise ValueError(f"Euler characteristic {euler} is impossible for k={key.k}")
+
+
 class HomologyCache:
-    """Directory-backed store of integral homology tables."""
+    """Directory-backed store of integral homology tables with a write-through memory front."""
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
+        self._memory: dict[BraidHomologyKey, GradedAbelianGroup] = {}
 
     def path_for(self, key: BraidHomologyKey) -> Path:
         return self.directory / f"braid_v{CACHE_VERSION}_k{key.k}_{key.system}.json"
 
     def get(self, key: BraidHomologyKey) -> GradedAbelianGroup | None:
+        if key in self._memory:
+            return self._memory[key]
         path = self.path_for(key)
         try:
             raw = path.read_text(encoding="utf-8")
@@ -67,10 +86,13 @@ class HomologyCache:
                 return None  # version mismatch is a plain miss
             if doc.get("k") != key.k or doc.get("system") != key.system:
                 raise ValueError("key mismatch")
-            return GradedAbelianGroup.from_payload(doc["homology"])
+            value = GradedAbelianGroup.from_payload(doc["homology"])
+            _check_table(key, value)
         except (ValueError, KeyError, TypeError) as exc:
             warnings.warn(f"discarding corrupted cache entry {path}: {exc}")
             return None
+        self._memory[key] = value
+        return value
 
     def put(self, key: BraidHomologyKey, value: GradedAbelianGroup) -> None:
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -93,6 +115,7 @@ class HomologyCache:
             except OSError:
                 pass
             raise
+        self._memory[key] = value
 
     def _entries(self) -> list[Path]:
         if not self.directory.is_dir():
@@ -108,6 +131,7 @@ class HomologyCache:
         }
 
     def clear(self) -> int:
+        self._memory.clear()
         removed = 0
         for path in self._entries():
             try:

@@ -3,7 +3,8 @@
 JSON mode emits exactly one canonical document on standard output (dictionary
 keys ordered, numeric-looking keys numerically), so identical inputs produce
 identical bytes.  Exit status: 0 success, 1 validation error, 2 verification
-failure.
+failure (a failed verification suite, a point-count mismatch, or a failed
+cell-model self-check).
 """
 
 from __future__ import annotations
@@ -74,9 +75,7 @@ def _report(command: str, parameters: dict, result: dict, exactness, notes=()) -
 def _resolve_cache(args) -> HomologyCache | None:
     directory = getattr(args, "cache_dir", None)
     path = Path(directory) if directory else default_cache_dir()
-    cache = HomologyCache(path)
-    braid.set_default_cache(cache)
-    return cache
+    return HomologyCache(path)
 
 
 def _table_lines(header: str, table: spaces.HomologyTable) -> list[str]:
@@ -398,7 +397,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, braid.CellModelError) as exc:
         message = str(exc)
         print(f"polystab: error: {message}", file=sys.stderr)
         if getattr(args, "json", False):
@@ -408,7 +407,7 @@ def main(argv: list[str] | None = None) -> int:
                 "error": {"message": message},
             }
             sys.stdout.write(canonical_json(doc) + "\n")
-        return 1
+        return 2 if isinstance(exc, braid.CellModelError) else 1
 
 
 if __name__ == "__main__":

@@ -1,11 +1,8 @@
 import pytest
 
-from polystab import braid
-
 
 @pytest.fixture(autouse=True)
 def _isolated_cache(tmp_path, monkeypatch):
-    """Keep cache writes away from $HOME and reset the process default."""
+    """Keep cache writes away from $HOME."""
     monkeypatch.setenv("POLYSTAB_CACHE", str(tmp_path / "cache"))
     yield
-    braid.set_default_cache(None)

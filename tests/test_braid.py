@@ -16,6 +16,7 @@ from polystab.braid import (
     enumerate_cells,
     shuffle_sum,
 )
+from polystab.cache import HomologyCache
 from polystab.complexes import ChainComplex, complex_homology
 from polystab.linalg import IntMatrix
 from polystab.rings import GF, Q, Z
@@ -80,8 +81,8 @@ def _shuffle_sum_oracle(a, b, signed):
 
 
 def test_shuffle_sums_against_permutation_oracle():
-    for a in range(1, 7):
-        for b in range(1, 7):
+    for a in range(1, 16):
+        for b in range(1, 17 - a):
             assert shuffle_sum(a, b, True) == _shuffle_sum_oracle(a, b, True)
             assert shuffle_sum(a, b, False) == comb(a + b, a)
 
@@ -244,10 +245,11 @@ def test_bounds_are_enforced():
     assert config_homology(11, TRIVIAL, GF(2), k_max=11) is not None
 
 
-def test_memo_shares_results():
-    first = config_homology(6, SIGN, Z)
-    second = config_homology(6, SIGN, Z)
-    assert first is second  # in-process memo returns the identical table
+def test_memo_shares_results(tmp_path):
+    cache = HomologyCache(tmp_path)
+    first = config_homology(6, SIGN, Z, cache=cache)
+    second = config_homology(6, SIGN, Z, cache=cache)
+    assert first is second  # the cache's memory front returns the identical table
 
 
 def test_composition_validation():

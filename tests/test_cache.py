@@ -12,13 +12,19 @@ def cache(tmp_path):
     return HomologyCache(tmp_path / "store")
 
 
-SAMPLE = GradedAbelianGroup({0: AbelianGroup(1), 3: AbelianGroup(2, (2, 6))})
+SAMPLE = GradedAbelianGroup({0: AbelianGroup(1), 3: AbelianGroup(1, (2, 6))})
 KEY = BraidHomologyKey(4, "sign")
+
+
+def reader(cache):
+    """A second instance on the same directory, as another process would open it."""
+    return HomologyCache(cache.directory)
 
 
 def test_roundtrip_is_exact(cache):
     cache.put(KEY, SAMPLE)
-    assert cache.get(KEY) == SAMPLE
+    assert cache.get(KEY) is SAMPLE
+    assert reader(cache).get(KEY) == SAMPLE
 
 
 def test_file_starts_with_format_version_and_key(cache):
@@ -40,14 +46,14 @@ def test_version_mismatch_is_a_miss(cache):
     doc = json.loads(path.read_text())
     doc["version"] = CACHE_VERSION + 1
     path.write_text(json.dumps(doc))
-    assert cache.get(KEY) is None
+    assert reader(cache).get(KEY) is None
 
 
 def test_corrupted_entry_warns_and_misses(cache):
     cache.put(KEY, SAMPLE)
     cache.path_for(KEY).write_text("{not json")
     with pytest.warns(UserWarning, match="corrupted"):
-        assert cache.get(KEY) is None
+        assert reader(cache).get(KEY) is None
 
 
 def test_key_mismatch_warns_and_misses(cache):
@@ -57,7 +63,21 @@ def test_key_mismatch_warns_and_misses(cache):
     doc["k"] = 99
     path.write_text(json.dumps(doc))
     with pytest.warns(UserWarning):
-        assert cache.get(KEY) is None
+        assert reader(cache).get(KEY) is None
+
+
+@pytest.mark.parametrize(
+    ("table", "reason"),
+    [
+        (GradedAbelianGroup({1: AbelianGroup(7), 40: AbelianGroup(7)}), "outside 0..3"),
+        (GradedAbelianGroup({0: AbelianGroup(1), 2: AbelianGroup(0, (3,))}), "Euler characteristic 1"),
+    ],
+    ids=["degree_out_of_range", "euler_characteristic"],
+)
+def test_impossible_table_warns_and_misses(cache, table, reason):
+    cache.put(KEY, table)
+    with pytest.warns(UserWarning, match=f"corrupted.*{reason}"):
+        assert reader(cache).get(KEY) is None
 
 
 def test_put_leaves_no_temporaries(cache):
@@ -75,6 +95,7 @@ def test_stats_and_clear(cache):
     assert stats["bytes"] > 0
     assert cache.clear() == 2
     assert cache.stats()["entries"] == 0
+    assert cache.get(KEY) is None  # the memory front is emptied too
 
 
 def test_key_validation():
@@ -84,28 +105,24 @@ def test_key_validation():
         BraidHomologyKey(2, "weird")
 
 
-def test_config_homology_persists_and_reloads(cache, monkeypatch):
-    monkeypatch.setattr(braid, "_memo", {})
+def test_config_homology_persists_and_reloads(cache):
     value = braid.config_homology(5, braid.SIGN, cache=cache)
     key = BraidHomologyKey(5, "sign")
-    assert cache.get(key) == value
-    # fresh memo: the answer must now come from disk, not a recomputation
-    monkeypatch.setattr(braid, "_memo", {})
-    sentinel = GradedAbelianGroup({40: AbelianGroup(7)})
+    assert reader(cache).get(key) == value
+    # a fresh instance must take the answer from disk, not recompute it
+    sentinel = GradedAbelianGroup({1: AbelianGroup(7), 2: AbelianGroup(7, (5,))})
     cache.put(key, sentinel)
-    assert braid.config_homology(5, braid.SIGN, cache=cache) == sentinel
+    assert braid.config_homology(5, braid.SIGN, cache=reader(cache)) == sentinel
 
 
-def test_corrupt_cache_recomputes(cache, monkeypatch):
-    monkeypatch.setattr(braid, "_memo", {})
+def test_corrupt_cache_recomputes(cache):
     value = braid.config_homology(4, braid.SIGN, cache=cache)
     path = cache.path_for(BraidHomologyKey(4, "sign"))
     path.write_text("garbage")
-    monkeypatch.setattr(braid, "_memo", {})
     with pytest.warns(UserWarning):
-        again = braid.config_homology(4, braid.SIGN, cache=cache)
+        again = braid.config_homology(4, braid.SIGN, cache=reader(cache))
     assert again == value
-    assert cache.get(BraidHomologyKey(4, "sign")) == value  # rewritten
+    assert reader(cache).get(BraidHomologyKey(4, "sign")) == value  # rewritten
 
 
 def test_default_cache_dir_env(monkeypatch, tmp_path):

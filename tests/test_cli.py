@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from polystab import cli, verify
+from polystab import braid, cli, verify
 
 
 def run(capsys, *argv):
@@ -164,6 +164,28 @@ def test_verify_failure_exits_two(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "stub", "--cache-dir", str(tmp_path))
     assert code == 2
     assert "FAIL stub.broken" in out
+
+
+def test_failed_self_check_exits_two(tmp_path, capsys, monkeypatch):
+    real = braid.shuffle_sum
+
+    def broken(a, b, signed):
+        # boundary squared of (1, 1, 1) vanishes only if (2, 1) and (1, 2) agree
+        return real(a, b, signed) + (1 if (a, b) == (2, 1) else 0)
+
+    monkeypatch.setattr(braid, "shuffle_sum", broken)
+    braid._merge_table.cache_clear()
+    try:
+        code, out, err = run(
+            capsys, "betti", "--d", "6", "--m", "1", "--n", "2", "--json", "--cache-dir", str(tmp_path)
+        )
+    finally:
+        braid._merge_table.cache_clear()
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["command"] == "betti"
+    assert "self-check failed" in doc["error"]["message"]
+    assert "Traceback" not in err
 
 
 def test_verify_all_passes(tmp_path, capsys):
