@@ -122,18 +122,22 @@ def _merge_table(
     cell by cell as the table grows; a failure raises :class:`CellModelError`.
     """
     signed = system == TRIVIAL
+    coeffs: dict[tuple[int, int], int] = {}
     table = {}
     for comps in _compositions_by_parts(k).values():
         for comp in comps:
-            terms: dict[tuple[int, ...], int] = {}
+            # merging at i < j leaves comp[i] + comp[i+1] vs comp[i] in slot i,
+            # so the merged cells of one composition are distinct
+            terms = []
             for i in range(len(comp) - 1):
-                coeff = shuffle_sum(comp[i], comp[i + 1], signed)
+                pair = comp[i : i + 2]
+                coeff = coeffs.get(pair)
+                if coeff is None:
+                    coeff = coeffs[pair] = shuffle_sum(*pair, signed)
                 if coeff:
-                    if i % 2:
-                        coeff = -coeff
-                    merged = comp[:i] + (comp[i] + comp[i + 1],) + comp[i + 2 :]
-                    terms[merged] = terms.get(merged, 0) + coeff
-            table[comp] = tuple((t, c) for t, c in terms.items() if c)
+                    merged = comp[:i] + (pair[0] + pair[1],) + comp[i + 2 :]
+                    terms.append((merged, -coeff if i % 2 else coeff))
+            table[comp] = tuple(terms)
             square: dict[tuple[int, ...], int] = {}
             for mid, c1 in table[comp]:
                 for target, c2 in table[mid]:
@@ -173,35 +177,38 @@ def dual_fn_complex(k: int, system: str, k_max: int = DEFAULT_K_MAX) -> ChainCom
     """Transpose of the cell complex regraded so degree i computes H_i.
 
     A cell of dimension j lands in degree 2k - j; the boundary in degree i is
-    the transpose of the merge differential into the cells with k - i parts.
-    Poincare duality for the open 2k-manifold makes this compute ordinary
-    homology with the chosen rank-one system.  Construction raises
-    :class:`CellModelError` if the boundary-squared self-check fails.
+    the transpose of the merge differential into the cells with k - i parts,
+    made dense from the sparse rows of :func:`_dual_boundary_rows` for the
+    integral (Smith normal form) route.  Poincare duality for the open
+    2k-manifold makes this compute ordinary homology with the chosen rank-one
+    system.  Construction raises :class:`CellModelError` if the
+    boundary-squared self-check fails.
     """
     _check_k(k, k_max)
     _check_system(system)
     counts = {i: comb(k - 1, i) for i in range(k)}
-    boundary = {
-        i: IntMatrix(counts[i - 1], counts[i], _dual_boundary_rows(k, system, i))
-        for i in range(1, k)
-    }
+    boundary = {}
+    for i in range(1, k):
+        dense = [[0] * counts[i] for _ in range(counts[i - 1])]
+        for out, row in zip(dense, _dual_boundary_rows(k, system, i)):
+            for j, v in row:
+                out[j] = v
+        boundary[i] = IntMatrix(counts[i - 1], counts[i], dense)
     return ChainComplex(counts, boundary)
 
 
-def _dual_boundary_rows(k: int, system: str, i: int) -> list[list[int]]:
-    """Rows of the degree-i boundary of the transposed complex (zero map for i=0)."""
+def _dual_boundary_rows(k: int, system: str, i: int) -> list[list[tuple[int, int]]]:
+    """Sparse rows of the degree-i boundary of the transposed complex (i >= 1).
+
+    Row r is the merge boundary of the r-th cell with k - i + 1 parts, as
+    ``(column, coefficient)`` pairs over the cells with k - i parts: distinct
+    columns, no zero coefficient, at most k - i pairs (one per adjacent merge).
+    This is the only code that turns :func:`_merge_table` into matrix rows.
+    """
     by_parts = _compositions_by_parts(k)
     table = _merge_table(k, system)
-    sources = by_parts[k - i]
-    targets = by_parts[k - i + 1]
-    col_index = {c: j for j, c in enumerate(sources)}
-    rows = []
-    for comp in targets:
-        row = [0] * len(sources)
-        for merged, coeff in table[comp]:
-            row[col_index[merged]] += coeff
-        rows.append(row)
-    return rows
+    col_index = {c: j for j, c in enumerate(by_parts[k - i])}
+    return [[(col_index[merged], coeff) for merged, coeff in table[comp]] for comp in by_parts[k - i + 1]]
 
 
 def _field_dims(k: int, system: str, ring: Ring, through: int | None) -> dict[int, int]:
@@ -213,10 +220,7 @@ def _field_dims(k: int, system: str, ring: Ring, through: int | None) -> dict[in
     ranks: dict[int, int] = {}
     for i in range(1, min(hi + 1, k - 1) + 1):
         rows = _dual_boundary_rows(k, system, i)
-        if ring == Q:
-            ranks[i] = rank_int_rows(rows)
-        else:
-            ranks[i] = rank_mod_p_rows(rows, ring.p)
+        ranks[i] = rank_int_rows(rows) if ring == Q else rank_mod_p_rows(rows, ring.p)
     dims = {}
     for i in range(hi + 1):
         count = comb(k - 1, i)

@@ -84,8 +84,8 @@ def complex_homology(cpx: ChainComplex, ring: Ring = Z) -> GradedAbelianGroup:
     else:
         def field_rank(mat: IntMatrix) -> int:
             if ring == Q:
-                return rank_int_rows(mat.entries)
-            return rank_mod_p_rows(mat.entries, ring.p)
+                return rank_int_rows(mat.sparse_rows())
+            return rank_mod_p_rows(mat.sparse_rows(), ring.p)
 
         ranks = {
             i: field_rank(cpx.boundary_matrix(i)) for i in range(cpx.low + 1, cpx.high + 1)

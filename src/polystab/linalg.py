@@ -1,8 +1,10 @@
 """Exact integer linear algebra: matrices, Smith normal form, ranks over Q and F_p.
 
-All arithmetic is arbitrary-precision; nothing here rounds.  Matrices are
-dense semantically (every entry addressable); the elimination routines accept
-plain row lists so callers holding sparse data can feed only what they need.
+All arithmetic is arbitrary-precision; nothing here rounds.  ``IntMatrix`` is
+dense (every entry addressable) and feeds Smith normal form.  Ranks over Q and
+F_p come from one sparse kernel, :func:`eliminate`, which takes rows as lists
+of ``(column, value)`` pairs; ``IntMatrix.sparse_rows`` converts a dense
+matrix, and sparse builders pass their rows straight in.
 """
 
 from __future__ import annotations
@@ -47,6 +49,10 @@ class IntMatrix:
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+    def sparse_rows(self) -> list[list[tuple[int, int]]]:
+        """Each row as ``(column, value)`` pairs of its nonzero entries."""
+        return [[(j, v) for j, v in enumerate(row) if v] for row in self.entries]
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(
@@ -204,104 +210,89 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     return SmithForm(tuple(factors), len(factors))
 
 
-def rank_int_rows(rows: list[list[int]]) -> int:
-    """Rank over Q of integer rows, by fraction-free elimination."""
-    work = [row[:] for row in rows if any(row)]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    for col in range(ncols):
-        pivot_idx = None
-        for i in range(rank, len(work)):
-            if work[i][col]:
-                pivot_idx = i
-                break
-        if pivot_idx is None:
-            continue
-        work[rank], work[pivot_idx] = work[pivot_idx], work[rank]
-        pivot_row = work[rank]
-        pv = pivot_row[col]
-        for i in range(rank + 1, len(work)):
-            v = work[i][col]
-            if v:
-                g = gcd(pv, v)
-                alpha, beta = pv // g, v // g
-                newrow = [alpha * x - beta * y for x, y in zip(work[i], pivot_row)]
-                rg = 0
-                for x in newrow:
-                    rg = gcd(rg, x)
-                    if rg == 1:
-                        break
-                if rg > 1:
-                    newrow = [x // rg for x in newrow]
-                work[i] = newrow
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+def eliminate(rows: list[list[tuple[int, int]]], modulus: int) -> int:
+    """Rank of sparse integer rows over Q (``modulus`` 0) or F_p (``modulus`` p).
 
-
-def rank_mod_p_rows(rows: list[list[int]], p: int) -> int:
-    """Rank over F_p of integer rows."""
-    if p == 2:
-        bits = []
-        for row in rows:
-            b = 0
-            for j, v in enumerate(row):
-                if v & 1:
-                    b |= 1 << j
-            bits.append(b)
-        return rank_mod2_bitrows(bits)
-    work = []
+    Each row lists ``(column, value)`` pairs with distinct columns.  Pivot rows
+    are kept in a dict keyed by leading column, so reducing a row touches only
+    the pivots its own entries hit.  Over F_2 rows become bitmasks; over F_p
+    pivots are scaled to lead with 1; over Q each step is fraction-free
+    (``a*row - b*pivot``) followed by removal of the row's content, so entries
+    stay exact integers.
+    """
+    if modulus == 2:
+        return rank_mod2_bitrows([sum(1 << j for j, v in row if v & 1) for row in rows])
+    pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        r = [v % p for v in row]
-        if any(r):
-            work.append(r)
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    for col in range(ncols):
-        pivot_idx = None
-        for i in range(rank, len(work)):
-            if work[i][col]:
-                pivot_idx = i
+        work = {j: v % modulus for j, v in row if v % modulus} if modulus else {j: v for j, v in row if v}
+        while work:
+            lead = min(work)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                if modulus:
+                    inv = pow(work[lead], -1, modulus)
+                    work = {j: v * inv % modulus for j, v in work.items()}
+                pivots[lead] = work
                 break
-        if pivot_idx is None:
-            continue
-        work[rank], work[pivot_idx] = work[pivot_idx], work[rank]
-        pivot_row = work[rank]
-        inv = pow(pivot_row[col], -1, p)
-        for i in range(rank + 1, len(work)):
-            v = work[i][col]
-            if v:
-                factor = (v * inv) % p
-                work[i] = [(x - factor * y) % p for x, y in zip(work[i], pivot_row)]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+            v = work[lead]
+            if modulus:
+                for j, w in pivot.items():
+                    x = (work.get(j, 0) - v * w) % modulus
+                    if x:
+                        work[j] = x
+                    else:
+                        del work[j]
+            else:
+                g = gcd(pivot[lead], v)
+                alpha, beta = pivot[lead] // g, v // g
+                if alpha != 1:
+                    work = {j: alpha * x for j, x in work.items()}
+                for j, w in pivot.items():
+                    x = work.get(j, 0) - beta * w
+                    if x:
+                        work[j] = x
+                    else:
+                        del work[j]
+                content = 0
+                for x in work.values():
+                    content = gcd(content, x)
+                    if content == 1:
+                        break
+                if content > 1:
+                    work = {j: x // content for j, x in work.items()}
+    return len(pivots)
+
+
+def rank_int_rows(rows: list[list[tuple[int, int]]]) -> int:
+    """Rank over Q of sparse integer rows (see :func:`eliminate`)."""
+    return eliminate(rows, 0)
+
+
+def rank_mod_p_rows(rows: list[list[tuple[int, int]]], p: int) -> int:
+    """Rank over F_p of sparse integer rows (see :func:`eliminate`)."""
+    return eliminate(rows, p)
 
 
 def rank_mod2_bitrows(bitrows: list[int]) -> int:
-    """Rank over F_2 of rows packed as integer bitmasks."""
-    pivots: list[tuple[int, int]] = []
-    rank = 0
+    """Rank over F_2 of rows packed as integer bitmasks.
+
+    Pivots are keyed by their lowest set bit; a row is reduced only by the
+    pivots whose key is its current lowest bit.
+    """
+    pivots: dict[int, int] = {}
     for row in bitrows:
-        for bit, prow in pivots:
-            if row & bit:
-                row ^= prow
-        if row:
-            pivots.append((row & -row, row))
-            rank += 1
-    return rank
+        while row:
+            low = row & -row
+            pivot = pivots.get(low)
+            if pivot is None:
+                pivots[low] = row
+                break
+            row ^= pivot
+    return len(pivots)
 
 
 def rank_over_field(m: IntMatrix, ring: Ring) -> int:
     """Exact rank of an integer matrix over Q or F_p."""
     if not ring.is_field:
         raise ValueError("rank_over_field needs Q or a prime field")
-    if ring == Q:
-        return rank_int_rows(m.entries)
-    return rank_mod_p_rows(m.entries, ring.p)
+    return eliminate(m.sparse_rows(), 0 if ring == Q else ring.p)

@@ -65,17 +65,16 @@ def test_enumerate_cells_bounds():
 
 
 def _shuffle_sum_oracle(a, b, signed):
-    """Enumerate interleavings as explicit permutations and add their parities."""
+    """Enumerate every interleaving and add the parities of its permutations.
+
+    With the first block at sorted positions p_0 < ... < p_{a-1}, the
+    permutation (first block, then the rest) inverts p_t with exactly the
+    p_t - t positions of the second block below it, so its inversion count is
+    sum_t (p_t - t).
+    """
     total = 0
     for positions in combinations(range(a + b), a):
-        rest = [i for i in range(a + b) if i not in positions]
-        perm = list(positions) + rest  # image order of the concatenated blocks
-        inversions = sum(
-            1
-            for i in range(len(perm))
-            for j in range(i + 1, len(perm))
-            if perm[i] > perm[j]
-        )
+        inversions = sum(p - t for t, p in enumerate(positions))
         total += (-1) ** inversions if signed else 1
     return total
 
@@ -88,14 +87,14 @@ def test_shuffle_sums_against_permutation_oracle():
 
 
 def test_signed_shuffle_closed_form():
-    # the signed count is the q-binomial at q = -1
-    for a in range(1, 8):
-        for b in range(1, 8):
-            if a % 2 and b % 2:
-                want = 0
-            else:
-                want = comb((a + b) // 2, a // 2)
-            assert shuffle_sum(a, b, True) == want
+    # [n, k]_q = [n-1, k-1]_q + q^k [n-1, k]_q, evaluated at q = -1
+    gauss = {(0, 0): 1}
+    for n in range(1, 31):
+        for k in range(n + 1):
+            gauss[n, k] = gauss.get((n - 1, k - 1), 0) + (-1) ** k * gauss.get((n - 1, k), 0)
+    for a in range(1, 30):
+        for b in range(1, 31 - a):
+            assert shuffle_sum(a, b, True) == gauss[a + b, a]
 
 
 def test_forced_k2_boundaries():
@@ -203,16 +202,29 @@ def test_field_dims_match_dual_complex_route():
 
 
 def test_field_dims_match_universal_coefficients():
-    for k in range(1, 8):
+    for k in range(1, 10):
         for system in (TRIVIAL, SIGN):
             integral = config_homology(k, system, Z)
-            for p in (2, 3, 5):
+            for p in (2, 3, 5, 7):
                 direct = config_homology(k, system, GF(p))
                 for i in range(k):
                     assert direct.free_rank(i) == integral.dim_mod(i, p)
             rational = config_homology(k, system, Q)
             for i in range(k):
                 assert rational.free_rank(i) == integral.dim_rational(i)
+
+
+def test_dual_boundary_rows_are_sparse_and_well_formed():
+    for k in range(1, 11):
+        for system in (TRIVIAL, SIGN):
+            for i in range(1, k):
+                rows = braid._dual_boundary_rows(k, system, i)
+                assert len(rows) == comb(k - 1, i - 1)
+                for row in rows:
+                    cols = [j for j, _ in row]
+                    assert len(set(cols)) == len(cols) <= k - i
+                    assert all(0 <= j < comb(k - 1, i) for j in cols)
+                    assert all(coeff for _, coeff in row)
 
 
 def test_classical_stability():

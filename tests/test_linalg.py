@@ -8,6 +8,7 @@ import pytest
 from polystab.linalg import (
     IntMatrix,
     SmithForm,
+    eliminate,
     rank_int_rows,
     rank_mod2_bitrows,
     rank_mod_p_rows,
@@ -136,8 +137,65 @@ def test_mod2_bitset_path_matches_generic():
         entries = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
         bits = [sum((v & 1) << j for j, v in enumerate(row)) for row in entries]
         assert rank_mod2_bitrows(bits) == _mod_p_rank_oracle(entries, 2)
-        assert rank_mod_p_rows(entries, 2) == _mod_p_rank_oracle(entries, 2)
-        assert rank_mod_p_rows(entries, 3) == _mod_p_rank_oracle(entries, 3)
+        sparse = IntMatrix.from_rows(entries, cols).sparse_rows()
+        assert rank_mod_p_rows(sparse, 2) == _mod_p_rank_oracle(entries, 2)
+        assert rank_mod_p_rows(sparse, 3) == _mod_p_rank_oracle(entries, 3)
+
+
+def _random_sparse_rows(rng, cols, scale):
+    """Sparse rows with empty rows, duplicates and integer combinations of earlier rows.
+
+    A combination reduces to zero against the pivots of the rows it came from,
+    so its entries cancel during elimination.
+    """
+    rows = []
+    for _ in range(rng.randint(0, 9)):
+        kind = rng.random()
+        if kind < 0.15 or not rows:
+            picked = rng.sample(range(cols), rng.randint(0, cols))
+            rows.append([(j, rng.choice([-1, 1]) * rng.randint(1, 9) * scale) for j in picked])
+        elif kind < 0.3:
+            rows.append(list(rng.choice(rows)))
+        elif kind < 0.5:
+            a, b = rng.choice(rows), rng.choice(rows)
+            ca, cb = rng.randint(-3, 3), rng.randint(-3, 3)
+            dense = [0] * cols
+            for row, c in ((a, ca), (b, cb)):
+                for j, v in row:
+                    dense[j] += c * v
+            rows.append([(j, v) for j, v in enumerate(dense) if v])
+        else:
+            picked = rng.sample(range(cols), rng.randint(1, min(cols, 3)))
+            rows.append([(j, rng.randint(1, 9) * scale) for j in picked])
+    rng.shuffle(rows)
+    return rows
+
+
+def _dense(rows, cols):
+    out = [[0] * cols for _ in rows]
+    for dense, row in zip(out, rows):
+        for j, v in row:
+            dense[j] = v
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 2**31 - 1])
+def test_eliminate_mod_p_matches_oracle(p):
+    rng = random.Random(p)
+    for _ in range(150):
+        cols = rng.randint(1, 9)
+        rows = _random_sparse_rows(rng, cols, 1)
+        assert eliminate(rows, p) == _mod_p_rank_oracle(_dense(rows, cols), p)
+
+
+@pytest.mark.parametrize("scale", [1, 10**40], ids=["small", "1e40"])
+def test_eliminate_rational_matches_smith_rank(scale):
+    rng = random.Random(scale % 1000 + 3)
+    for _ in range(100):
+        cols = rng.randint(1, 7)
+        rows = _random_sparse_rows(rng, cols, scale)
+        want = smith_normal_form(IntMatrix(len(rows), cols, _dense(rows, cols))).rank
+        assert eliminate(rows, 0) == want
 
 
 def _mod_p_rank_oracle(entries, p):
@@ -180,4 +238,4 @@ def test_large_entry_exactness():
     big = 10**40
     m = IntMatrix.from_rows([[big, 0], [0, big * 3]])
     assert smith_normal_form(m).invariant_factors == (big, 3 * big)
-    assert rank_int_rows(m.entries) == 2
+    assert rank_int_rows(m.sparse_rows()) == 2
