@@ -59,16 +59,12 @@ from .spaces import (
     HomologyTable,
     Params,
     PoincareSeries,
-    PolyHolReport,
     StableRangeReport,
-    bundle_rank_hol,
-    bundle_rank_poly,
     e1_page_hol,
     e1_page_poly,
     hol_homology,
     omega_series,
     poly_homology,
-    poly_hol_check,
     stability_dimension,
     stable_range_check,
 )

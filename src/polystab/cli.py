@@ -45,10 +45,6 @@ def canonical_json(payload: dict) -> str:
     return json.dumps(_ordered(payload), separators=(",", ":"), ensure_ascii=True)
 
 
-def _table_payload(table: spaces.HomologyTable) -> dict:
-    return table.groups.to_payload()
-
-
 def _exactness(table: spaces.HomologyTable):
     return "complete" if table.is_complete else table.truncation
 
@@ -72,7 +68,7 @@ def _report(command: str, parameters: dict, result: dict, exactness, notes=()) -
     }
 
 
-def _resolve_cache(args) -> HomologyCache | None:
+def _resolve_cache(args) -> HomologyCache:
     directory = getattr(args, "cache_dir", None)
     path = Path(directory) if directory else default_cache_dir()
     return HomologyCache(path)
@@ -91,37 +87,25 @@ def _table_lines(header: str, table: spaces.HomologyTable) -> list[str]:
     return lines
 
 
-def _cmd_betti(args) -> int:
+def _cmd_table(args) -> int:
     cache = _resolve_cache(args)
     ring = parse_ring(args.ring)
-    table = spaces.poly_homology(args.d, args.m, args.n, ring, k_max=args.k_max, cache=cache)
-    params = {"d": args.d, "m": args.m, "n": args.n, "ring": ring.label}
+    if args.command == "betti":
+        table = spaces.poly_homology(args.d, args.m, args.n, ring, k_max=args.k_max, cache=cache)
+        params = {"d": args.d, "m": args.m, "n": args.n}
+        header = f"tuple-space homology d={args.d} m={args.m} n={args.n}"
+    else:
+        table = spaces.hol_homology(args.d, args.n, ring, k_max=args.k_max, cache=cache)
+        params = {"d": args.d, "n": args.n}
+        header = f"rational-map-space homology d={args.d} target-n={args.n}"
     payload = _report(
-        "betti",
-        params,
-        {"homology": _table_payload(table)},
+        args.command,
+        {**params, "ring": ring.label},
+        {"homology": table.groups.to_payload()},
         _exactness(table),
         table.notes + ("assembled from the stable summand splitting",),
     )
-    header = f"tuple-space homology d={args.d} m={args.m} n={args.n} over {ring}"
-    _emit(args, payload, _table_lines(header, table))
-    return 0
-
-
-def _cmd_hol_betti(args) -> int:
-    cache = _resolve_cache(args)
-    ring = parse_ring(args.ring)
-    table = spaces.hol_homology(args.d, args.n, ring, k_max=args.k_max, cache=cache)
-    params = {"d": args.d, "n": args.n, "ring": ring.label}
-    payload = _report(
-        "hol-betti",
-        params,
-        {"homology": _table_payload(table)},
-        _exactness(table),
-        table.notes + ("assembled from the stable summand splitting",),
-    )
-    header = f"rational-map-space homology d={args.d} target-n={args.n} over {ring}"
-    _emit(args, payload, _table_lines(header, table))
+    _emit(args, payload, _table_lines(f"{header} over {ring}", table))
     return 0
 
 
@@ -299,15 +283,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_cache(args) -> int:
-    directory = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
-    cache = HomologyCache(directory)
+    cache = _resolve_cache(args)
     if args.action == "stats":
         result = cache.stats()
         lines = [f"{k}: {v}" for k, v in result.items()]
     else:
         removed = cache.clear()
-        result = {"directory": str(directory), "removed": removed}
-        lines = [f"removed {removed} entries from {directory}"]
+        result = {"directory": str(cache.directory), "removed": removed}
+        lines = [f"removed {removed} entries from {cache.directory}"]
     payload = _report("cache", {"action": args.action}, result, "complete")
     _emit(args, payload, lines)
     return 0
@@ -331,13 +314,13 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     common(p)
-    p.set_defaults(func=_cmd_betti)
+    p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("hol-betti", help="homology of the based rational-map space")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True, help="target projective space has n-1 complex dimensions")
     common(p)
-    p.set_defaults(func=_cmd_hol_betti)
+    p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("e1", help="first page of the discriminant spectral sequence")
     p.add_argument("--flavor", choices=["poly", "hol"], required=True)

@@ -273,9 +273,13 @@ def count_points(
 def closed_form_count(d: int, m: int, n: int, q: int) -> int:
     """q^{dm} for d < n, else q^{dm} - q^{dm-mn+1}.
 
-    Matches the forced d = n value q^{mn} - q (the locus is affine mn-space
-    minus a line) and is validated against brute-force counts on the test
-    grid; beyond that it is an observed law, not a citation.
+    Derivation (cf. Farb-Wolfson, arXiv:1506.02713): every m-tuple of monic
+    degree-d polynomials factors uniquely as h^n * (g_1, ..., g_m), with h the
+    largest monic polynomial whose n-th power divides every entry; the g's then
+    form a member tuple of degree d - n deg h, and each degree e has q^e monic
+    h.  So q^{md} = sum_e q^e N(d - ne) with N(0) = 1, i.e.
+    1/(1 - q^m t) = Z(t)/(1 - q t^n) for Z(t) = sum_d N(d) t^d, which gives
+    Z(t) = (1 - q t^n)/(1 - q^m t) and the coefficients above.
     """
     if d < 1 or m < 1 or n < 1 or q < 2:
         raise ValueError("need d, m, n >= 1 and q >= 2")

@@ -5,18 +5,41 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Smallest strong pseudoprime to all of the bases above (Sorenson-Webster 2015):
+# below it, Miller-Rabin with those bases decides primality exactly.
+MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+    """Exact primality: trial division by the primes up to 41, then Miller-Rabin
+    with those 13 bases.  Raises ValueError past :data:`MILLER_RABIN_BOUND`
+    for a number with no small factor, where the test would not be exact."""
     if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+        return n > 1
+    for q in _SMALL_PRIMES:
+        if q * q > n:
+            return True
+        if n % q == 0:
             return False
-        f += 2
+    if n >= MILLER_RABIN_BOUND:
+        raise ValueError(
+            f"primality of {n} is only decided below {MILLER_RABIN_BOUND}"
+        )
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        twos += 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
     return True
 
 

@@ -1,18 +1,18 @@
 """Homology of polynomial-tuple and rational-map spaces assembled from the cell model.
 
-The space of m-tuples of monic degree-d polynomials with no common root of
-multiplicity >= n splits stably into summands indexed by k = 1..floor(d/n):
-the k-th is the double suspension summand D_k shifted up by 2(mn-2)k.  The
-based rational-map spaces (tuples with no common root at all) split the same
-way with k running to d and shift 2(N-2)k.  Everything here is bookkeeping
-over :func:`polystab.braid.dk_homology`, plus the first-page tables of the
-associated spectral sequences and the Poincare series of the limiting double
-loop space.
+The based rational-map space Hol_d(S^2, CP^{N-1}) splits stably into the
+summands D_k, k = 1..d, the k-th shifted up by 2(N-2)k.  The space of
+m-tuples of monic degree-d polynomials with no common root of multiplicity
+>= n is, in homology, the rational-map space at (floor(d/n), mn), so its
+table and first page are the rational-map ones reparametrised.  Everything
+here is bookkeeping over :func:`polystab.braid.dk_homology`, plus the
+first-page tables of the associated spectral sequences and the Poincare
+series of the limiting double loop space.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .abelian import AbelianGroup, GradedAbelianGroup
 from .braid import DEFAULT_K_MAX, SIGN, config_homology, dk_homology
@@ -95,50 +95,7 @@ class PoincareSeries:
 def stability_dimension(d: int, m: int, n: int) -> int:
     """The dimension (2mn-3)(floor(d/n)+1)-1 through which the limit map is an equivalence."""
     p = Params(d, m, n)
-    if p.mn < 2:
-        raise ValueError("need mn >= 2")
     return (2 * p.mn - 3) * (p.top_summand + 1) - 1
-
-
-def bundle_rank_poly(d: int, m: int, n: int, k: int) -> int:
-    """Rank 2m(d-nk)+k-1 of the affine stratum bundle over C_k for the tuple space."""
-    p = Params(d, m, n)
-    if not 1 <= k <= p.top_summand:
-        raise ValueError(f"k={k} outside 1..{p.top_summand}")
-    return 2 * m * (d - n * k) + k - 1
-
-
-def bundle_rank_hol(d: int, N: int, k: int) -> int:
-    """Rank 2N(d-k)+k-1 of the corresponding stratum bundle for the rational-map space."""
-    if N < 2:
-        raise ValueError("need N >= 2")
-    if not 1 <= k <= d:
-        raise ValueError(f"k={k} outside 1..{d}")
-    return 2 * N * (d - k) + k - 1
-
-
-def _point_table(ring: Ring, notes: tuple[str, ...] = ()) -> HomologyTable:
-    return HomologyTable(GradedAbelianGroup({0: AbelianGroup(1)}), ring, None, notes)
-
-
-def _split_table(
-    top: int,
-    shift_per_k: int,
-    ring: Ring,
-    notes: tuple[str, ...],
-    k_max: int,
-    cache: HomologyCache | None,
-) -> HomologyTable:
-    if top > k_max:
-        raise ValueError(
-            f"needs summands up to k={top}, beyond the configured bound {k_max}"
-        )
-    total = GradedAbelianGroup({0: AbelianGroup(1)})
-    for k in range(1, top + 1):
-        total = total.direct_sum(
-            dk_homology(k, ring, k_max=k_max, cache=cache).shift(shift_per_k * k)
-        )
-    return HomologyTable(total, ring, None, notes)
 
 
 def poly_homology(
@@ -153,15 +110,12 @@ def poly_homology(
     """Complete homology of the space of m-tuples of monic degree-d polynomials
     with no common root of multiplicity >= n.
 
-    For d < n the space is an affine cell, so the table is a point's.  The
-    k-th stable summand contributes nothing below degree (2mn-3)k, which makes
-    the finite sum complete in every degree.
+    This is the rational-map table at (floor(d/n), mn).  For d < n that is
+    the point's table: the space is an affine cell.
     """
     p = Params(d, m, n)
-    notes = (MN2_NOTE,) if p.mn == 2 else ()
-    if d < n:
-        return _point_table(ring, notes)
-    return _split_table(p.top_summand, 2 * (p.mn - 2), ring, notes, k_max, cache)
+    table = hol_homology(p.top_summand, p.mn, ring, k_max=k_max, cache=cache)
+    return replace(table, notes=(MN2_NOTE,)) if p.mn == 2 else table
 
 
 def hol_homology(
@@ -172,45 +126,26 @@ def hol_homology(
     k_max: int = DEFAULT_K_MAX,
     cache: HomologyCache | None = None,
 ) -> HomologyTable:
-    """Complete homology of the degree-d based rational-map space into CP^{N-1}."""
+    """Complete homology of the degree-d based rational-map space into CP^{N-1}.
+
+    The direct sum of the point and the summands D_k, k = 1..d, each shifted
+    up by 2(N-2)k.  Summand k contributes nothing below degree (2N-3)k, which
+    makes the finite sum complete in every degree.
+    """
     if N < 2:
         raise ValueError("need N >= 2")
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    if d == 0:
-        return _point_table(ring)
-    return _split_table(d, 2 * (N - 2), ring, (), k_max, cache)
-
-
-@dataclass(frozen=True)
-class PolyHolReport:
-    """Result of comparing the two assembly routes degree by degree."""
-
-    d: int
-    m: int
-    n: int
-    ring: Ring
-    equal: bool
-    left: HomologyTable
-    right: HomologyTable
-
-
-def poly_hol_check(
-    d: int,
-    m: int,
-    n: int,
-    ring: Ring = Z,
-    *,
-    k_max: int = DEFAULT_K_MAX,
-    cache: HomologyCache | None = None,
-) -> PolyHolReport:
-    """Compare the tuple-space table against the rational-map table at
-    (floor(d/n), mn); the shared splitting makes these identical, so this is a
-    wiring regression check."""
-    p = Params(d, m, n)
-    left = poly_homology(d, m, n, ring, k_max=k_max, cache=cache)
-    right = hol_homology(p.top_summand, p.mn, ring, k_max=k_max, cache=cache)
-    return PolyHolReport(d, m, n, ring, left.same_groups(right), left, right)
+    if d > k_max:
+        raise ValueError(
+            f"needs summands up to k={d}, beyond the configured bound {k_max}"
+        )
+    total = GradedAbelianGroup({0: AbelianGroup(1)})
+    for k in range(1, d + 1):
+        total = total.direct_sum(
+            dk_homology(k, ring, k_max=k_max, cache=cache).shift(2 * (N - 2) * k)
+        )
+    return HomologyTable(total, ring)
 
 
 @dataclass(frozen=True)
@@ -222,11 +157,9 @@ class E1Page:
     s - twist*k; that degree lives in 0..k-1, so each column is finite.
     """
 
-    flavor: str
     ring: Ring
     k_top: int
-    twist: int  # 2(mn-1) for the tuple flavor, 2(N-1) for the rational-map flavor
-    params: tuple[tuple[str, int], ...]
+    twist: int  # 2(N-1); 2(mn-1) for the tuple space
     entries: dict[tuple[int, int], AbelianGroup] = field(repr=False)
 
     def entry(self, k: int, s: int) -> AbelianGroup:
@@ -249,27 +182,6 @@ class E1Page:
         return sorted(self.entries)
 
 
-def _build_e1(
-    flavor: str,
-    k_top: int,
-    twist: int,
-    params: tuple[tuple[str, int], ...],
-    ring: Ring,
-    k_max: int,
-    cache: HomologyCache | None,
-) -> E1Page:
-    if k_top > k_max:
-        raise ValueError(
-            f"first-page columns run to k={k_top}, beyond the configured bound {k_max}"
-        )
-    entries: dict[tuple[int, int], AbelianGroup] = {(0, 0): AbelianGroup(1)}
-    for k in range(1, k_top + 1):
-        column = config_homology(k, SIGN, ring, k_max=k_max, cache=cache)
-        for i in column.degrees():
-            entries[(k, twist * k + i)] = column.group(i)
-    return E1Page(flavor, ring, k_top, twist, params, entries)
-
-
 def e1_page_poly(
     d: int,
     m: int,
@@ -279,11 +191,10 @@ def e1_page_poly(
     k_max: int = DEFAULT_K_MAX,
     cache: HomologyCache | None = None,
 ) -> E1Page:
-    """First page converging to the tuple-space homology: columns 1..floor(d/n),
-    entry (k, s) the sign-twisted homology of C_k in degree s - 2(mn-1)k."""
+    """First page converging to the tuple-space homology: the rational-map page
+    at (floor(d/n), mn), so columns 1..floor(d/n) and twist 2(mn-1)."""
     p = Params(d, m, n)
-    params = (("d", d), ("m", m), ("n", n))
-    return _build_e1("poly", p.top_summand, 2 * (p.mn - 1), params, ring, k_max, cache)
+    return e1_page_hol(p.top_summand, p.mn, ring, k_max=k_max, cache=cache)
 
 
 def e1_page_hol(
@@ -294,13 +205,23 @@ def e1_page_hol(
     k_max: int = DEFAULT_K_MAX,
     cache: HomologyCache | None = None,
 ) -> E1Page:
-    """First page for the rational-map space: columns 1..d, twist 2(N-1)."""
+    """First page for the rational-map space: columns 1..d, twist 2(N-1),
+    entry (k, s) the sign-twisted homology of C_k in degree s - 2(N-1)k."""
     if N < 2:
         raise ValueError("need N >= 2")
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    params = (("d", d), ("N", N))
-    return _build_e1("hol", d, 2 * (N - 1), params, ring, k_max, cache)
+    if d > k_max:
+        raise ValueError(
+            f"first-page columns run to k={d}, beyond the configured bound {k_max}"
+        )
+    twist = 2 * (N - 1)
+    entries: dict[tuple[int, int], AbelianGroup] = {(0, 0): AbelianGroup(1)}
+    for k in range(1, d + 1):
+        column = config_homology(k, SIGN, ring, k_max=k_max, cache=cache)
+        for i in column.degrees():
+            entries[(k, twist * k + i)] = column.group(i)
+    return E1Page(ring, d, twist, entries)
 
 
 def omega_series(

@@ -2,7 +2,9 @@
 
 Every check is exact (no tolerances).  Each suite returns a report listing the
 individual checks with parameters and timing; the CLI maps any failure to
-exit status 2.
+exit status 2.  The ``series`` and ``limit`` suites compare against
+:func:`loop_space_series`, the classical closed form of the mod-p homology of
+the double loop space, which shares no code with the cell model.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field
 
 from . import braid, ffield, jets, spaces
 from .cache import HomologyCache
-from .rings import GF, Q, Z
+from .rings import GF, Q, Z, is_prime
 
 
 @dataclass(frozen=True)
@@ -202,26 +204,44 @@ def suite_cells(cache: HomologyCache | None = None) -> SuiteReport:
     return rec.report
 
 
-def _partition_series(part_sizes: list[int], through: int) -> list[int]:
-    """Coefficients of prod 1/(1 - t^s) over the given part sizes."""
-    coeffs = [0] * (through + 1)
-    coeffs[0] = 1
-    for s in part_sizes:
-        for j in range(s, through + 1):
-            coeffs[j] += coeffs[j - s]
+def loop_space_series(N: int, p: int, through: int) -> list[int]:
+    """Mod-p Poincare series of the double loop space of S^{2N-1} through ``through``.
+
+    F. Cohen's closed form (Cohen-Lada-May, LNM 533, III): over F_2 the
+    homology is polynomial on generators of degree 2^j(2N-2) - 1, j >= 0; over
+    odd p it is exterior on degrees 2(N-1)p^j - 1, j >= 0, tensor polynomial
+    on degrees 2(N-1)p^j - 2, j >= 1.
+    """
+    if N < 2:
+        raise ValueError("need N >= 2")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    coeffs = [1] + [0] * through
+
+    def times(degree: int, exterior: bool) -> None:
+        # multiply by 1 + t^degree (exterior) or 1/(1 - t^degree) (polynomial)
+        order = range(through, degree - 1, -1) if exterior else range(degree, through + 1)
+        for j in order:
+            coeffs[j] += coeffs[j - degree]
+
+    top = 2 * (N - 1)  # 2(N-1)p^j
+    while top - 2 <= through:
+        times(top - 1, exterior=p != 2)
+        if p != 2 and top > 2 * (N - 1):
+            times(top - 2, exterior=False)
+        top *= p
     return coeffs
 
 
 def suite_series(cache: HomologyCache | None = None) -> SuiteReport:
     """Limit series: mod-2 series of the double loop space of S^3 through degree 15
-    matches the partition series on part sizes 2^j - 1; rational series are two
-    classes only."""
+    matches the closed form (polynomial on degrees 2^j - 1); rational series are
+    two classes only."""
     rec = _Recorder("series")
     t0 = time.perf_counter()
     through = 15
     got = spaces.omega_series(2, GF(2), through, k_max=15, cache=cache)
-    parts = [s for s in (1, 3, 7, 15) if s <= through]
-    want = _partition_series(parts, through)
+    want = loop_space_series(2, 2, through)
     rec.check(
         "mod2_N2",
         list(got.coefficients) == want,
@@ -280,8 +300,8 @@ def suite_d2(cache: HomologyCache | None = None) -> SuiteReport:
 
 
 def suite_e1(cache: HomologyCache | None = None) -> SuiteReport:
-    """First-page support regions, the stratum-rank degree identity, and
-    antidiagonal dimensions against the assembled tables."""
+    """First-page support regions and antidiagonal dimensions against the
+    assembled tables."""
     rec = _Recorder("e1")
     samples = [(2, 1, 2), (4, 1, 2), (2, 2, 2), (6, 2, 2), (6, 1, 3), (4, 2, 3)]
     from .abelian import AbelianGroup
@@ -299,14 +319,6 @@ def suite_e1(cache: HomologyCache | None = None) -> SuiteReport:
         ok = ok and all(page.entry(k, s).is_zero for k, s in outside)
         rec.check(f"support_d{d}_m{m}_n{n}", ok, f"cells={len(page.nonzero_cells())}", t0)
 
-        t0 = time.perf_counter()
-        identity_ok = True
-        for k in range(1, d // n + 1):
-            for s in range(0, 2 * (m * n - 1) * k + k):
-                lhs = (2 * m * d + k - s - 1) - spaces.bundle_rank_poly(d, m, n, k)
-                identity_ok = identity_ok and lhs == 2 * m * n * k - s
-        rec.check(f"rank_identity_d{d}_m{m}_n{n}", identity_ok, "degree identity", t0)
-
         for ring in (GF(2), GF(3), Q):
             t0 = time.perf_counter()
             fpage = spaces.e1_page_poly(d, m, n, ring, cache=cache)
@@ -320,18 +332,21 @@ def suite_e1(cache: HomologyCache | None = None) -> SuiteReport:
     return rec.report
 
 
-def suite_polyhol(cache: HomologyCache | None = None) -> SuiteReport:
-    """The two assembly routes give the same tables for all sampled parameters."""
-    rec = _Recorder("polyhol")
+def suite_limit(cache: HomologyCache | None = None) -> SuiteReport:
+    """Through the stability dimension D the mod-p tuple-space tables equal the
+    closed-form series of the double loop space of S^{2mn-1}."""
+    rec = _Recorder("limit")
     samples = [(4, 1, 2), (2, 2, 2), (1, 2, 2), (6, 2, 2), (9, 1, 3), (5, 3, 2), (7, 2, 3)]
     for d, m, n in samples:
-        for ring in (Z, GF(2), GF(3), Q):
+        bound = spaces.stability_dimension(d, m, n)
+        for p in (2, 3, 5):
             t0 = time.perf_counter()
-            report = spaces.poly_hol_check(d, m, n, ring, cache=cache)
+            got = spaces.poly_homology(d, m, n, GF(p), cache=cache).dims(bound)
+            want = loop_space_series(m * n, p, bound)
             rec.check(
-                f"d{d}_m{m}_n{n}_{ring}",
-                report.equal,
-                f"hol({d // n}, {m * n})",
+                f"d{d}_m{m}_n{n}_F{p}",
+                got == want,
+                f"D={bound} got={got} want={want}",
                 t0,
             )
     return rec.report
@@ -347,7 +362,7 @@ SUITES = {
     "stability": suite_stability,
     "d2": suite_d2,
     "e1": suite_e1,
-    "polyhol": suite_polyhol,
+    "limit": suite_limit,
 }
 
 

@@ -64,5 +64,7 @@ def test_criterion_09_e1_bookkeeping():
     _run(9, "first-page bookkeeping", "e1", 10)
 
 
-def test_criterion_10_poly_hol_equality():
-    _run(10, "tuple-space vs rational-map equality", "polyhol", 10)
+def test_criterion_10_limit_closed_form():
+    # mod-p tuple-space tables equal the closed-form limit series through D
+    report = _run(10, "tables vs closed-form limit series", "limit", 10)
+    assert len(report.results) == 7 * 3  # seven samples, F2/F3/F5

@@ -1,9 +1,24 @@
 import json
+import marshal
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from polystab import braid, cli, verify
+from polystab.rings import MILLER_RABIN_BOUND
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_process(*argv, timeout=60):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, timeout=timeout, env=env, cwd=ROOT
+    )
 
 
 def run(capsys, *argv):
@@ -220,3 +235,32 @@ def test_cache_stats_and_clear(tmp_path, capsys):
 def test_canonical_json_ordering_helper():
     payload = {"10": 1, "2": 2, "b": 3, "a": {"5": 1, "11": 2}}
     assert cli.canonical_json(payload) == '{"2":2,"10":1,"a":{"5":1,"11":2},"b":3}'
+
+
+def test_large_prime_ring_answers_quickly(tmp_path):
+    started = time.perf_counter()
+    done = run_process(
+        "-m", "polystab.cli", "betti", "--d", "2", "--m", "2", "--n", "2",
+        "--ring", "f1000000000000000003", "--json", "--cache-dir", str(tmp_path), timeout=10,
+    )
+    elapsed = time.perf_counter() - started
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["result"]["homology"] == {"0": [1, []], "5": [1, []]}
+    assert elapsed < 2, f"took {elapsed:.2f}s"
+
+
+def test_ring_past_primality_bound_exits_one(capsys):
+    code, _, err = run(capsys, "betti", "--d", "2", "--m", "2", "--n", "2", "--ring", f"f{2**89 - 1}")
+    assert code == 1
+    assert str(MILLER_RABIN_BOUND) in err
+
+
+def test_benchmark_tracer_binds_package_layers(tmp_path):
+    spans_file = tmp_path / "spans"
+    done = run_process(
+        "perfbench/tracer.py", str(spans_file), "op", "--",
+        "betti", "--d", "4", "--m", "1", "--n", "2", "--json", "--cache-dir", str(tmp_path / "cache"),
+    )
+    assert done.returncode == 0, done.stderr
+    names = {span[0] for span in marshal.loads(spans_file.read_bytes())["spans"]}
+    assert {"spaces.poly_homology", "linalg.snf"} <= names

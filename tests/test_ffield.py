@@ -190,6 +190,19 @@ def test_closed_form_examples():
             assert closed_form_count(n, m, n, q) == q ** (m * n) - q
 
 
+def test_counts_satisfy_the_factorisation_identity():
+    # each tuple is h^n times a member tuple, with q^e monic h of degree e:
+    # q^(md) = sum_e q^e N(d - ne), N(0) = 1; brute-force counts alone
+    for p in (2, 3):
+        for m in (1, 2):
+            for n in (1, 2, 3):
+                members = {0: 1}
+                for d in range(1, 5):
+                    members[d] = count_points(d, m, n, p)
+                    total = sum(p**e * members[d - n * e] for e in range(d // n + 1))
+                    assert total == p ** (m * d), (d, m, n, p)
+
+
 def test_classical_squarefree_subcase():
     for p in (2, 3):
         for d in range(2, 5):

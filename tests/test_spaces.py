@@ -7,17 +7,15 @@ from polystab.spaces import (
     MN2_NOTE,
     E1Page,
     Params,
-    bundle_rank_hol,
-    bundle_rank_poly,
     e1_page_hol,
     e1_page_poly,
     hol_homology,
     omega_series,
     poly_homology,
-    poly_hol_check,
     stability_dimension,
     stable_range_check,
 )
+from polystab.verify import loop_space_series
 
 Z1 = AbelianGroup(1)
 POINT = GradedAbelianGroup({0: Z1})
@@ -39,23 +37,6 @@ def test_stability_dimension_examples():
     assert stability_dimension(6, 2, 2) == 19
     assert stability_dimension(2, 1, 2) == 1
     assert stability_dimension(3, 3, 1) == 11
-
-
-def test_bundle_rank_examples():
-    assert bundle_rank_poly(4, 1, 2, 2) == 1
-    assert bundle_rank_hol(4, 2, 1) == 12
-    # degree bookkeeping identity at (d, m, n, k, s) = (4, 1, 2, 2, 4)
-    d, m, n, k, s = 4, 1, 2, 2, 4
-    assert (2 * m * d + k - s - 1) - bundle_rank_poly(d, m, n, k) == 2 * m * n * k - s
-
-
-def test_bundle_rank_bounds():
-    with pytest.raises(ValueError):
-        bundle_rank_poly(4, 1, 2, 3)
-    with pytest.raises(ValueError):
-        bundle_rank_hol(4, 1, 1)
-    with pytest.raises(ValueError):
-        bundle_rank_hol(4, 3, 5)
 
 
 def test_poly_homology_sphere_case():
@@ -124,14 +105,6 @@ def test_hol_rejects_bad_parameters():
         hol_homology(2, 1, Z)
     with pytest.raises(ValueError):
         hol_homology(-1, 3, Z)
-
-
-def test_poly_hol_check_examples():
-    assert poly_hol_check(4, 1, 2, Z).equal
-    report = poly_hol_check(2, 2, 2, Z)
-    assert report.equal
-    assert report.left.groups == sphere(5)
-    assert poly_hol_check(1, 2, 2, Z).equal  # both points
 
 
 def test_e1_poly_small_case():
@@ -232,6 +205,27 @@ def test_omega_series_sphere5_mod2_matches_classical_answer():
     # double loops on S^5 mod 2: polynomial on degrees 3, 7, 15, ...
     got = omega_series(3, GF(2), 15)
     assert list(got.coefficients) == _free_algebra_series([], [3, 7, 15], 15)
+
+
+@pytest.mark.parametrize(
+    "N, p, through, exterior, polynomial",
+    [
+        (2, 3, 12, [1, 5], [4]),  # double loops on S^3 mod 3
+        (3, 2, 15, [], [3, 7, 15]),  # double loops on S^5 mod 2
+        (2, 2, 15, [], [1, 3, 7, 15]),
+        (3, 3, 36, [3, 11, 35], [10, 34]),  # S^5 mod 3: generators 4*3^j - 1, 4*3^j - 2
+        (4, 5, 40, [5, 29], [28]),  # S^7 mod 5: generators 6*5^j - 1, 6*5^j - 2
+    ],
+)
+def test_loop_space_series_matches_generator_degrees(N, p, through, exterior, polynomial):
+    assert loop_space_series(N, p, through) == _free_algebra_series(exterior, polynomial, through)
+
+
+def test_loop_space_series_guards():
+    with pytest.raises(ValueError):
+        loop_space_series(1, 2, 5)
+    with pytest.raises(ValueError):
+        loop_space_series(2, 4, 5)
 
 
 def test_poincare_series_indexing():
