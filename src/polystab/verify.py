@@ -334,7 +334,12 @@ def suite_e1(cache: HomologyCache | None = None) -> SuiteReport:
 
 def suite_limit(cache: HomologyCache | None = None) -> SuiteReport:
     """Through the stability dimension D the mod-p tuple-space tables equal the
-    closed-form series of the double loop space of S^{2mn-1}."""
+    closed-form series of the double loop space of S^{2mn-1}, and over F_2 the
+    bound is sharp: in degree D+1 the table falls short of the series.
+
+    Sharpness: the limit's summand floor(d/n)+1, which the table lacks, has a
+    nonzero H_0(C_k; sign (x) F_2), and its shift puts that class in degree D+1.
+    """
     rec = _Recorder("limit")
     samples = [(4, 1, 2), (2, 2, 2), (1, 2, 2), (6, 2, 2), (9, 1, 3), (5, 3, 2), (7, 2, 3)]
     for d, m, n in samples:
@@ -349,6 +354,15 @@ def suite_limit(cache: HomologyCache | None = None) -> SuiteReport:
                 f"D={bound} got={got} want={want}",
                 t0,
             )
+        t0 = time.perf_counter()
+        table = spaces.poly_homology(d, m, n, GF(2), cache=cache).dims(bound + 1)[bound + 1]
+        limit = loop_space_series(m * n, 2, bound + 1)[bound + 1]
+        rec.check(
+            f"sharp_d{d}_m{m}_n{n}_F2",
+            table < limit,
+            f"degree {bound + 1}: table={table} limit={limit}",
+            t0,
+        )
     return rec.report
 
 

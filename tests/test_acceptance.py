@@ -67,4 +67,4 @@ def test_criterion_09_e1_bookkeeping():
 def test_criterion_10_limit_closed_form():
     # mod-p tuple-space tables equal the closed-form limit series through D
     report = _run(10, "tables vs closed-form limit series", "limit", 10)
-    assert len(report.results) == 7 * 3  # seven samples, F2/F3/F5
+    assert len(report.results) == 7 * 4  # seven samples, F2/F3/F5 and F2 sharpness

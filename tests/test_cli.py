@@ -1,3 +1,4 @@
+import io
 import json
 import marshal
 import os
@@ -14,10 +15,11 @@ from polystab.rings import MILLER_RABIN_BOUND
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_process(*argv, timeout=60):
+def run_process(*argv, timeout=60, stdin=None):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     return subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, timeout=timeout, env=env, cwd=ROOT
+        [sys.executable, *argv],
+        capture_output=True, text=True, timeout=timeout, env=env, cwd=ROOT, input=stdin,
     )
 
 
@@ -134,6 +136,14 @@ def test_jet_rational_coefficients(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["result"]["tuples"][0]["poly_member"] is False
+
+
+def test_jet_zero_denominator_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("1/0,1\n"))
+    code, out, err = run(capsys, "jet", "--n", "2", "--json")
+    assert code == 1
+    assert "'1/0'" in json.loads(out)["error"]["message"]
+    assert "'1/0'" in err and "Traceback" not in err
 
 
 def test_validation_error_exits_one(capsys):
@@ -256,11 +266,18 @@ def test_ring_past_primality_bound_exits_one(capsys):
 
 
 def test_benchmark_tracer_binds_package_layers(tmp_path):
-    spans_file = tmp_path / "spans"
-    done = run_process(
-        "perfbench/tracer.py", str(spans_file), "op", "--",
-        "betti", "--d", "4", "--m", "1", "--n", "2", "--json", "--cache-dir", str(tmp_path / "cache"),
-    )
-    assert done.returncode == 0, done.stderr
-    names = {span[0] for span in marshal.loads(spans_file.read_bytes())["spans"]}
-    assert {"spaces.poly_homology", "linalg.snf"} <= names
+    cases = [
+        (("betti", "--d", "4", "--m", "1", "--n", "2"), None, {"spaces.poly_homology", "linalg.snf"}),
+        (("count", "--d", "2", "--m", "2", "--n", "2", "--p", "3"), None,
+         {"ffield.count_points", "ffield.is_member"}),
+        (("jet", "--n", "2"), "0,0,1\n", {"jets.check"}),
+    ]
+    for argv, stdin, spans in cases:
+        spans_file = tmp_path / "spans"
+        done = run_process(
+            "perfbench/tracer.py", str(spans_file), "op", "--",
+            *argv, "--json", "--cache-dir", str(tmp_path / "cache"), stdin=stdin,
+        )
+        assert done.returncode == 0, done.stderr
+        names = {span[0] for span in marshal.loads(spans_file.read_bytes())["spans"]}
+        assert spans <= names, argv

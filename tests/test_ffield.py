@@ -1,23 +1,24 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
+import polystab.poly
 from polystab.ffield import (
-    FpPoly,
     FpTuple,
     closed_form_count,
     count_points,
-    fp_gcd,
     is_member,
     iter_monic,
     max_common_multiplicity,
     squarefree_multiplicities,
 )
+from polystab.poly import Poly, poly_gcd
 
 
 def P(p, *coeffs):
-    return FpPoly(p, coeffs)
+    return Poly(p, coeffs)
 
 
 def test_poly_normalization():
@@ -25,32 +26,52 @@ def test_poly_normalization():
     assert P(3, 5, -1).coeffs == (2, 2)
     assert P(2).is_zero
     assert P(5, 0, 0, 1).is_monic
+    for modulus in (1, 4, -3):
+        with pytest.raises(ValueError):
+            Poly(modulus, (1,))
 
 
-def test_poly_divmod_property():
+@pytest.mark.parametrize("p", [0, 2, 3, 5])
+def test_poly_divmod_property(p):
     rng = random.Random(17)
-    for p in (2, 3, 5):
-        for _ in range(60):
-            f = FpPoly(p, [rng.randrange(p) for _ in range(rng.randint(0, 6))])
-            g = FpPoly(p, [rng.randrange(p) for _ in range(rng.randint(1, 4))])
-            if g.is_zero:
-                continue
-            q, r = divmod(f, g)
-            assert q * g + r == f
-            assert r.is_zero or r.degree < g.degree
+
+    def coeff():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if p == 0 else rng.randrange(p)
+
+    for _ in range(60):
+        f = Poly(p, [coeff() for _ in range(rng.randint(0, 6))])
+        g = Poly(p, [coeff() for _ in range(rng.randint(1, 4))])
+        if g.is_zero:
+            continue
+        q, r = divmod(f, g)
+        assert q * g + r == f
+        assert r.is_zero or r.degree < g.degree
+
+
+def test_arithmetic_results_skip_the_prime_check(monkeypatch):
+    # the prime is checked when the caller builds f, never again on a result
+    calls = []
+    real = polystab.poly.is_prime
+    monkeypatch.setattr(polystab.poly, "is_prime", lambda n: calls.append(n) or real(n))
+    f = Poly(5, (1, 2, 0, 3, 1))
+    for c in range(20):  # 100 operations
+        g = f.shift_variable(c) * f
+        q, r = divmod(g.derivative(), f)
+        assert poly_gcd(q, r).is_monic
+    assert calls == [5]
 
 
 def test_gcd_examples():
     # over F_2: z^2+z = z(z+1) and z^2+1 = (z+1)^2 share z+1
-    assert fp_gcd(P(2, 0, 1, 1), P(2, 1, 0, 1)) == P(2, 1, 1)
+    assert poly_gcd(P(2, 0, 1, 1), P(2, 1, 0, 1)) == P(2, 1, 1)
     f = P(3, 0, 2, 1)
-    assert fp_gcd(f, FpPoly.zero(3)) == f.monic()
-    assert fp_gcd(P(5, 0, 1), P(5, 1)) == FpPoly.one(5)
+    assert poly_gcd(f, Poly(3, ())) == f.monic()
+    assert poly_gcd(P(5, 0, 1), P(5, 1)) == Poly.one(5)
 
 
 def test_gcd_rejects_mixed_primes():
     with pytest.raises(ValueError):
-        fp_gcd(P(2, 1), P(3, 1))
+        poly_gcd(P(2, 1), P(3, 1))
 
 
 def _irreducibles(p, max_degree):
@@ -89,7 +110,7 @@ def test_squarefree_multiplicities_exhaustive(p):
             # rebuild multiplicity -> factor from the true factorization
             grouped = {}
             for q, e in want.items():
-                grouped[e] = grouped.get(e, FpPoly.one(p)) * q
+                grouped[e] = grouped.get(e, Poly.one(p)) * q
             assert decomposition == grouped
 
 
@@ -121,7 +142,7 @@ def test_multiplicity_bounded_by_degree():
         d = rng.randint(1, 4)
         m = rng.randint(1, 2)
         entries = tuple(
-            FpPoly(p, [rng.randrange(p) for _ in range(d)] + [1]) for _ in range(m)
+            Poly(p, [rng.randrange(p) for _ in range(d)] + [1]) for _ in range(m)
         )
         t = FpTuple(entries, d, m, 2, p)
         assert 0 <= max_common_multiplicity(t) <= d
@@ -158,7 +179,7 @@ def test_is_member_translation_invariance():
         m = rng.randint(1, 2)
         n = rng.randint(1, 3)
         entries = tuple(
-            FpPoly(p, [rng.randrange(p) for _ in range(d)] + [1]) for _ in range(m)
+            Poly(p, [rng.randrange(p) for _ in range(d)] + [1]) for _ in range(m)
         )
         t = FpTuple(entries, d, m, n, p)
         base = is_member(t)

@@ -46,7 +46,6 @@ def test_poly_homology_sphere_case():
 def test_poly_homology_point_case():
     table = poly_homology(1, 2, 2, Z)
     assert table.groups == POINT
-    assert table.is_complete
 
 
 def test_poly_homology_squarefree_case_matches_direct():
