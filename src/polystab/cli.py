@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -192,6 +193,11 @@ def _cmd_count(args) -> int:
 
 def _parse_rational(text: str) -> Fraction:
     text = text.strip()
+    # Fraction expands a decimal exponent exactly: bound it as str() bounds digits
+    exponent = re.search(r"[eE]([-+]?\d+(?:_\d+)*)$", text)
+    bound = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if exponent and abs(float(exponent[1])) >= bound:
+        raise ValueError(f"decimal exponent of {text!r} exceeds the bound: its magnitude must be below {bound}")
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -350,7 +356,8 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--mode", choices=["brute", "formula", "both"], default="both")
-    p.add_argument("--budget", type=int, default=ffield.DEFAULT_ENUMERATION_BUDGET)
+    p.add_argument("--budget", type=int, default=ffield.DEFAULT_ENUMERATION_BUDGET,
+                   help="most monic first entries (p^d of them) to enumerate")
     common(p, k_max=False, ring=False)
     p.set_defaults(func=_cmd_count)
 

@@ -7,12 +7,17 @@ when the gcd's squarefree decomposition sees no multiplicity >= n.  The
 decomposition is the characteristic-p-correct one: whenever the derivative
 dies, a p-th root is extracted explicitly, so multiplicities divisible by p
 are handled exactly (a naive iterated-derivative test would not be).
+
+Point counts enumerate the p^d first entries f_1 and count the other entries
+by inclusion-exclusion over the irreducibles pi with pi^n | f_1, a derivation
+that shares no step with the h^n * g factorisation of :func:`closed_form_count`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
 from .poly import Poly, poly_gcd
 from .rings import is_prime
@@ -100,27 +105,55 @@ def iter_monic(p: int, d: int):
         yield Poly(p, (*lower, 1))
 
 
+def factor_degrees(f: Poly) -> list[int]:
+    """Degrees of the irreducible factors of a squarefree monic f over F_p, by
+    distinct-degree factorisation: once the factors of degree < i are divided
+    out, gcd(f, z^(p^i) - z) is the product of those of degree i."""
+    z, degrees, i = Poly(f.p, (0, 1)), [], 0
+    power = z
+    while f.degree >= 2 * (i + 1):  # else f is 1 or irreducible
+        i, base = i + 1, power
+        for bit in bin(f.p)[3:]:  # power <- power^p mod f by square-and-multiply
+            power = power * power % f
+            if bit == "1":
+                power = power * base % f
+        g = poly_gcd(f, power - z)
+        degrees += [i] * (g.degree // i)
+        f = f // g
+    return degrees + [f.degree] if f.degree > 0 else degrees
+
+
 def count_points(
     d: int, m: int, n: int, p: int, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> int:
-    """Exact number of member tuples over F_p by exhaustive enumeration."""
+    """Exact number of member tuples over F_p, enumerating the p^d first entries.
+
+    A member f_1 completes with all p^((m-1)d) (m-1)-tuples.  Otherwise the
+    tuple fails iff pi_i^n divides every other entry for one of the distinct
+    irreducibles pi_1..pi_r with pi_i^n | f_1.  A monic degree-d g is divisible
+    by a monic h in p^(d - deg h) ways, so inclusion-exclusion over subsets S
+    of the pi_i counts the completions as, with R = prod_i pi_i,
+        sum_S (-1)^|S| p^((m-1)(d - n deg prod S))
+          = p^((m-1)(d - n deg R)) prod_i (p^((m-1) n deg pi_i) - 1).
+    """
     if d < 1 or m < 1 or n < 1:
         raise ValueError("d, m, n must be positive")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    total = p ** (d * m)
-    if total > budget:
-        raise ValueError(
-            f"enumeration of {total} tuples exceeds the budget {budget}; "
-            f"raise the budget to at least {total}"
-        )
+    firsts = p**d
+    if firsts > budget:
+        raise ValueError(f"enumeration of {firsts} first entries exceeds the budget {budget}; "
+                         f"raise the budget to at least {firsts}")
     if n > d:
-        return total  # no degree-d polynomial has a root of multiplicity > d
-    count = 0
-    polys = list(iter_monic(p, d))
-    for entries in product(polys, repeat=m):
-        if is_member(FpTuple(entries, d, m, n, p)):
-            count += 1
+        return p ** (d * m)  # no degree-d polynomial has a root of multiplicity > d
+    count, rest = 0, p ** (m - 1)
+    for f in iter_monic(p, d):
+        if is_member(FpTuple((f,), d, 1, n, p)):
+            count += rest**d
+        elif m > 1:  # for m = 1 each factor rest^(n deg pi) - 1 is 0
+            high = [g for k, g in squarefree_multiplicities(f).items() if k >= n]
+            degrees = [e for g in high for e in factor_degrees(g)]
+            count += rest ** (d - n * sum(degrees)) * prod(rest ** (n * e) - 1 for e in degrees)
     return count
 
 

@@ -103,7 +103,7 @@ def suite_spheres(cache: HomologyCache | None = None) -> SuiteReport:
 
 
 def suite_counts(cache: HomologyCache | None = None) -> SuiteReport:
-    """Brute-force point counts equal the closed form on the full small grid."""
+    """Point counts over the p^d first entries equal the closed form on the small grid."""
     rec = _Recorder("counts")
     for p in (2, 3):
         for d in range(1, 5):

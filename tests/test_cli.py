@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -85,6 +86,19 @@ def test_count_both_modes(capsys):
     assert doc["result"] == {"brute": 2, "equal": True, "formula": 2}
 
 
+def test_count_meets_the_pd_target():
+    # 3^12 tuples; the counter enumerates the 3^6 first entries
+    started = time.perf_counter()
+    done = run_process(
+        "-m", "polystab.cli", "count", "--d", "6", "--m", "2", "--n", "2", "--p", "3",
+        "--mode", "both", "--json", timeout=20,
+    )
+    elapsed = time.perf_counter() - started
+    assert done.returncode == 0, done.stderr
+    assert '"equal":true' in done.stdout
+    assert elapsed < 1, f"took {elapsed:.2f}s"
+
+
 def test_stability_dim(capsys):
     code, out, _ = run(capsys, "stability-dim", "--d", "6", "--m", "2", "--n", "2")
     assert code == 0
@@ -144,6 +158,25 @@ def test_jet_zero_denominator_exits_one(capsys, monkeypatch):
     assert code == 1
     assert "'1/0'" in json.loads(out)["error"]["message"]
     assert "'1/0'" in err and "Traceback" not in err
+
+
+def test_jet_decimal_exponent_bound():
+    bound = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    assert cli._parse_rational("1e1000") == 10**1000
+    assert cli._parse_rational(f"-5E-{bound - 1}") == Fraction(-5, 10 ** (bound - 1))
+    for text in (f"1e{bound}", f"2.5E-{bound}", "1e999_999", "3e+" + "9" * 5000):
+        with pytest.raises(ValueError, match=f"exceeds the bound: its magnitude must be below {bound}"):
+            cli._parse_rational(text)
+
+
+def test_jet_huge_exponent_exits_one_quickly():
+    started = time.perf_counter()
+    done = run_process("-m", "polystab.cli", "jet", "--n", "2", "--json", stdin="1e999999999,1\n", timeout=10)
+    elapsed = time.perf_counter() - started
+    assert done.returncode == 1
+    assert "exceeds the bound" in json.loads(done.stdout)["error"]["message"]
+    assert "Traceback" not in done.stderr
+    assert elapsed < 2, f"took {elapsed:.2f}s"
 
 
 def test_validation_error_exits_one(capsys):

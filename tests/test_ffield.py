@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -9,6 +10,7 @@ from polystab.ffield import (
     FpTuple,
     closed_form_count,
     count_points,
+    factor_degrees,
     is_member,
     iter_monic,
     max_common_multiplicity,
@@ -199,6 +201,69 @@ def test_count_examples():
 def test_count_budget_refusal():
     with pytest.raises(ValueError, match="raise the budget to at least 1024"):
         count_points(10, 1, 2, 2, budget=1000)
+
+
+def test_count_budget_bounds_first_entries():
+    # 5^18 tuples, but only 5^6 first entries are enumerated
+    assert count_points(6, 3, 2, 5) == closed_form_count(6, 3, 2, 5)
+    assert count_points(4, 2, 2, 3, budget=81) == closed_form_count(4, 2, 2, 3)
+    with pytest.raises(
+        ValueError,
+        match="enumeration of 81 first entries exceeds the budget 80; raise the budget to at least 81",
+    ):
+        count_points(4, 2, 2, 3, budget=80)
+
+
+def _brute_counts(d, m, p):
+    """n -> number of member tuples for n = 1..d+1, by enumerating all p^(dm) tuples.
+
+    is_member(t) is max_common_multiplicity(t) < t.n, so one pass that tallies
+    the multiplicities serves every n.
+    """
+    polys = list(iter_monic(p, d))
+    tally = Counter(
+        max_common_multiplicity(FpTuple(entries, d, m, 1, p))
+        for entries in product(polys, repeat=m)
+    )
+    return {n: sum(c for e, c in tally.items() if e < n) for n in range(1, d + 2)}
+
+
+# p in {2, 3, 5}, d <= 4, m <= 3, n <= d + 1 and p^(dm) <= 20000: 107 points
+BRUTE_GRID = [
+    (d, m, p) for p in (2, 3, 5) for d in range(1, 5) for m in (1, 2, 3) if p ** (d * m) <= 20_000
+]
+
+
+@pytest.mark.parametrize("d, m, p", BRUTE_GRID)
+def test_count_points_against_brute_force(d, m, p):
+    for n, members in _brute_counts(d, m, p).items():
+        assert count_points(d, m, n, p) == members, n
+        assert closed_form_count(d, m, n, p) == members, n
+
+
+def test_factor_degrees_examples():
+    z = P(2, 0, 1)
+    f = z * P(2, 1, 1) * P(2, 1, 1, 1) * P(2, 1, 1, 0, 1)  # z (z+1) (z^2+z+1) (z^3+z+1)
+    assert sorted(factor_degrees(f)) == [1, 1, 2, 3]
+    assert sorted(factor_degrees(P(2, 1, 1, 1) * P(2, 1, 1, 0, 0, 1))) == [2, 4]
+    # over F_3: z^2+1 and the Artin-Schreier cubic z^3-z+1 are irreducible
+    f = P(3, 0, 1) * P(3, 1, 1) * P(3, 2, 1) * P(3, 1, 0, 1) * P(3, 1, 2, 0, 1)
+    assert sorted(factor_degrees(f)) == [1, 1, 1, 2, 3]
+    # over F_5: z^2+2 (-2 is not a square) and z^3+z+1 (no root) are irreducible
+    assert sorted(factor_degrees(P(5, 2, 0, 1) * P(5, 1, 1, 0, 1) * P(5, 3, 1))) == [1, 2, 3]
+    assert factor_degrees(P(5, 2, 0, 1)) == [2]
+    assert factor_degrees(Poly.one(3)) == []
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_factor_degrees_exhaustive(p):
+    max_degree = {2: 6, 3: 4, 5: 3}[p]
+    irreducibles = _irreducibles(p, max_degree)
+    for d in range(1, max_degree + 1):
+        for f in iter_monic(p, d):
+            factors = _factor_oracle(f, irreducibles)
+            if set(factors.values()) == {1}:  # squarefree
+                assert sorted(factor_degrees(f)) == sorted(q.degree for q in factors), f
 
 
 def test_closed_form_examples():
