@@ -22,12 +22,9 @@ from .braid import (
     SIGN,
     TRIVIAL,
     CellModelError,
-    Composition,
-    build_fn_complex,
     config_homology,
     dk_homology,
     dual_fn_complex,
-    enumerate_cells,
     shuffle_sum,
 )
 from .cache import BraidHomologyKey, HomologyCache, default_cache_dir
@@ -48,7 +45,7 @@ from .jets import (
     q_membership_hol,
     q_membership_poly,
 )
-from .linalg import IntMatrix, SmithForm, rank_over_field, smith_normal_form
+from .linalg import IntMatrix, SmithForm, smith_normal_form
 from .poly import Poly, poly_gcd
 from .rings import GF, Q, Ring, Z, parse_ring
 from .spaces import (

@@ -19,6 +19,10 @@ second sign(shuffle) factor:
 * trivial coefficients: merge coefficient (-1)^(i+1) * sum_shuffles sign(s);
 * sign coefficients:    merge coefficient (-1)^(i+1) * (number of shuffles).
 
+A cell is held only as its cut mask (a merge deletes one cut), boundary rows
+come straight from ``itertools.combinations``, and d^2 = 0 is one identity per
+triple of block sizes, checked in O(k^3) by :func:`_merge_coefficients`.
+
 This complex computes Borel-Moore homology; the space is an open complex
 manifold of real dimension 2k, so transposing the complex and regrading a
 cell of dimension j into homological degree 2k - j computes ordinary
@@ -28,8 +32,6 @@ homology, with matching torsion.  That transposed complex is what
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -49,29 +51,6 @@ class CellModelError(RuntimeError):
     """The cell model failed its boundary-squared self-check: a sign bug, not user error."""
 
 
-@dataclass(frozen=True)
-class Composition:
-    """An ordered tuple of positive integers; indexes one cell of the model."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.parts or any(a < 1 for a in self.parts):
-            raise ValueError("composition parts must be positive integers")
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def num_parts(self) -> int:
-        return len(self.parts)
-
-    @property
-    def cell_dimension(self) -> int:
-        return self.size + self.num_parts
-
-
 def _check_system(system: str) -> None:
     if system not in (TRIVIAL, SIGN):
         raise ValueError(f"unknown coefficient system {system!r}")
@@ -80,18 +59,6 @@ def _check_system(system: str) -> None:
 def _check_k(k: int, k_max: int) -> None:
     if not 1 <= k <= k_max:
         raise ValueError(f"k={k} outside the supported range 1..{k_max}")
-
-
-@lru_cache(maxsize=None)
-def _compositions_by_parts(k: int) -> dict[int, tuple[tuple[int, ...], ...]]:
-    """All compositions of k, grouped by part count, in a fixed lexicographic order."""
-    by_parts: dict[int, list[tuple[int, ...]]] = {r: [] for r in range(1, k + 1)}
-    for r in range(1, k + 1):
-        for cuts in combinations(range(1, k), r - 1):
-            bounds = (0, *cuts, k)
-            comp = tuple(bounds[i + 1] - bounds[i] for i in range(r))
-            by_parts[r].append(comp)
-    return {r: tuple(v) for r, v in by_parts.items()}
 
 
 def shuffle_sum(a: int, b: int, signed: bool) -> int:
@@ -111,75 +78,14 @@ def shuffle_sum(a: int, b: int, signed: bool) -> int:
     return comb((a + b) // 2, a // 2)
 
 
-@lru_cache(maxsize=None)
-def _merge_table(
-    k: int, system: str
-) -> dict[tuple[int, ...], tuple[tuple[tuple[int, ...], int], ...]]:
-    """Boundary of each cell: merged composition with its signed coefficient.
-
-    Cells are visited by increasing part count, so the boundary of every
-    merged cell is already in the table and boundary-squared = 0 is checked
-    cell by cell as the table grows; a failure raises :class:`CellModelError`.
-    """
-    signed = system == TRIVIAL
-    coeffs: dict[tuple[int, int], int] = {}
-    table = {}
-    for comps in _compositions_by_parts(k).values():
-        for comp in comps:
-            # merging at i < j leaves comp[i] + comp[i+1] vs comp[i] in slot i,
-            # so the merged cells of one composition are distinct
-            terms = []
-            for i in range(len(comp) - 1):
-                pair = comp[i : i + 2]
-                coeff = coeffs.get(pair)
-                if coeff is None:
-                    coeff = coeffs[pair] = shuffle_sum(*pair, signed)
-                if coeff:
-                    merged = comp[:i] + (pair[0] + pair[1],) + comp[i + 2 :]
-                    terms.append((merged, -coeff if i % 2 else coeff))
-            table[comp] = tuple(terms)
-            square: dict[tuple[int, ...], int] = {}
-            for mid, c1 in table[comp]:
-                for target, c2 in table[mid]:
-                    square[target] = square.get(target, 0) + c1 * c2
-            if any(square.values()):
-                raise CellModelError(
-                    f"cell-model self-check failed: boundary squared of {comp} is nonzero "
-                    f"(k={k}, {system} system)"
-                )
-    return table
-
-
-def enumerate_cells(k: int, k_max: int = DEFAULT_K_MAX) -> dict[int, list[Composition]]:
-    """Cells of the model for k points, grouped by cell dimension (= k + parts)."""
-    _check_k(k, k_max)
-    by_parts = _compositions_by_parts(k)
-    return {
-        k + r: [Composition(c) for c in by_parts[r]] for r in sorted(by_parts)
-    }
-
-
-def build_fn_complex(k: int, system: str, k_max: int = DEFAULT_K_MAX) -> ChainComplex:
-    """The Fox-Neuwirth-style cell complex, graded by cell dimension.
-
-    Degree j holds the cells of dimension j (compositions with j - k parts);
-    the differential merges adjacent blocks as described in the module
-    docstring.  It is :func:`dual_fn_complex` transposed and regraded.
-    """
-    dual = dual_fn_complex(k, system, k_max)
-    return ChainComplex(
-        {2 * k - i: n for i, n in dual.generator_counts.items()},
-        {2 * k - i + 1: d.transpose() for i, d in dual.boundary.items()},
-    )
-
-
 def dual_fn_complex(k: int, system: str, k_max: int = DEFAULT_K_MAX) -> ChainComplex:
     """Transpose of the cell complex regraded so degree i computes H_i.
 
     A cell of dimension j lands in degree 2k - j; the boundary in degree i is
     the transpose of the merge differential into the cells with k - i parts,
     made dense from the sparse rows of :func:`_dual_boundary_rows` for the
-    integral (Smith normal form) route.  Poincare duality for the open
+    integral (Smith normal form) route.  Rows and columns are numbered in
+    ``combinations`` order of the cuts.  Poincare duality for the open
     2k-manifold makes this compute ordinary homology with the chosen rank-one
     system.  Construction raises :class:`CellModelError` if the
     boundary-squared self-check fails.
@@ -189,26 +95,82 @@ def dual_fn_complex(k: int, system: str, k_max: int = DEFAULT_K_MAX) -> ChainCom
     counts = {i: comb(k - 1, i) for i in range(k)}
     boundary = {}
     for i in range(1, k):
+        position = {_cut_mask(k, cuts): j for j, cuts in enumerate(combinations(range(1, k), k - i - 1))}
         dense = [[0] * counts[i] for _ in range(counts[i - 1])]
         for out, row in zip(dense, _dual_boundary_rows(k, system, i)):
-            for j, v in row:
-                out[j] = v
+            for key, v in row:
+                out[position[key]] = v
         boundary[i] = IntMatrix(counts[i - 1], counts[i], dense)
     return ChainComplex(counts, boundary)
+
+
+def _cut_mask(k: int, cuts) -> int:
+    """Column key of the composition of k cut at ``cuts``: cut c sets bit k - 1 - c."""
+    return sum(1 << (k - 1 - c) for c in cuts)
+
+
+def _merge_coefficients(k: int, system: str) -> list[list[int]]:
+    """Table s[a][b] = shuffle_sum(a, b) for a + b <= k, after the d^2 = 0 self-check.
+
+    The boundary of a cell (a_0, ..., a_r) merges a_j and a_(j+1) with
+    coefficient (-1)^j s(a_j, a_(j+1)), deleting the j-th cut.  A target of
+    d^2 deletes two cuts, so it is reached by exactly the two orders of
+    deleting them:
+
+    * non-adjacent cuts merge disjoint pairs; the coefficient product is the
+      same either way, and deleting the earlier cut first shifts the later
+      merge down one position, so the two terms cancel by the position sign
+      alone;
+    * adjacent cuts merge one triple (a, b, c) into a block; the two orders
+      contribute s(a,b) s(a+b,c) and -s(b,c) s(a,b+c).
+
+    Each triple with a + b + c <= k occurs in a cell of k (padded with the
+    block k - a - b - c when that is positive), so d^2 = 0 on every cell of k
+    exactly when each such triple satisfies s(a,b) s(a+b,c) = s(b,c) s(a,b+c).
+    That is checked here in O(k^3); a failure raises :class:`CellModelError`.
+    """
+    signed = system == TRIVIAL
+    s = [[0] * (k + 1) for _ in range(k + 1)]
+    for a in range(1, k):
+        for b in range(1, k - a + 1):
+            s[a][b] = shuffle_sum(a, b, signed)
+    for a in range(1, k - 1):
+        for b in range(1, k - a):
+            for c in range(1, k - a - b + 1):
+                if s[a][b] * s[a + b][c] != s[b][c] * s[a][b + c]:
+                    raise CellModelError(
+                        f"cell-model self-check failed: boundary squared of the triple {(a, b, c)} "
+                        f"is nonzero (k={k}, {system} system)"
+                    )
+    return s
 
 
 def _dual_boundary_rows(k: int, system: str, i: int) -> list[list[tuple[int, int]]]:
     """Sparse rows of the degree-i boundary of the transposed complex (i >= 1).
 
-    Row r is the merge boundary of the r-th cell with k - i + 1 parts, as
-    ``(column, coefficient)`` pairs over the cells with k - i parts: distinct
-    columns, no zero coefficient, at most k - i pairs (one per adjacent merge).
-    This is the only code that turns :func:`_merge_table` into matrix rows.
+    A composition of k is its set of cuts in 1..k-1, and its column key is
+    :func:`_cut_mask`.  Row r is the merge boundary of the r-th cell with
+    k - i + 1 parts (``combinations`` order of its k - i cuts), as
+    ``(key, coefficient)`` pairs over the cells with k - i parts: distinct
+    keys in increasing order, no zero coefficient, at most k - i pairs (one
+    per deleted cut).  The first merge deletes the highest bit, so whenever
+    its coefficient is nonzero it is the row's smallest key; elimination by
+    leading key then pivots on first merges, the order of algebraic discrete
+    Morse theory on the bar complex (Skoldberg, Trans. AMS 358, 2006;
+    Joellenbeck-Welker, Mem. AMS 197, 2009).
     """
-    by_parts = _compositions_by_parts(k)
-    table = _merge_table(k, system)
-    col_index = {c: j for j, c in enumerate(by_parts[k - i])}
-    return [[(col_index[merged], coeff) for merged, coeff in table[comp]] for comp in by_parts[k - i + 1]]
+    s = _merge_coefficients(k, system)
+    bit = [1 << (k - 1 - c) for c in range(k)]
+    rows = []
+    for cuts in combinations(range(1, k), k - i):
+        mask = _cut_mask(k, cuts)
+        row = []
+        for j, (prev, c, nxt) in enumerate(zip((0, *cuts), cuts, (*cuts[1:], k))):
+            coeff = s[c - prev][nxt - c]
+            if coeff:
+                row.append((mask ^ bit[c], -coeff if j % 2 else coeff))
+        rows.append(row)
+    return rows
 
 
 def _field_dims(k: int, system: str, ring: Ring, through: int | None) -> dict[int, int]:

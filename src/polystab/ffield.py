@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from itertools import product
 from math import prod
 
-from .poly import Poly, poly_gcd
+from .poly import Poly, _poly, poly_gcd
 from .rings import is_prime
 
-DEFAULT_ENUMERATION_BUDGET = 10**7
+DEFAULT_ENUMERATION_BUDGET = 10**5
 
 
 def squarefree_multiplicities(f: Poly) -> dict[int, Poly]:
@@ -100,9 +100,9 @@ def is_member(t: FpTuple) -> bool:
 
 
 def iter_monic(p: int, d: int):
-    """All monic degree-d polynomials over F_p in lexicographic coefficient order."""
+    """All monic degree-d polynomials over F_p, p already checked prime, in lexicographic order."""
     for lower in product(range(p), repeat=d):
-        yield Poly(p, (*lower, 1))
+        yield _poly(p, [*lower, 1])
 
 
 def factor_degrees(f: Poly) -> list[int]:

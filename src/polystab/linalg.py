@@ -2,17 +2,15 @@
 
 All arithmetic is arbitrary-precision; nothing here rounds.  ``IntMatrix`` is
 dense (every entry addressable) and feeds Smith normal form.  Ranks over Q and
-F_p come from one sparse kernel, :func:`eliminate`, which takes rows as lists
-of ``(column, value)`` pairs; ``IntMatrix.sparse_rows`` converts a dense
-matrix, and sparse builders pass their rows straight in.
+every F_p, F_2 included, come from one sparse kernel, :func:`eliminate`, which
+takes rows as lists of ``(column, value)`` pairs; ``IntMatrix.sparse_rows``
+converts a dense matrix, and sparse builders pass their rows straight in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-
-from .rings import Q, Ring
 
 
 class IntMatrix:
@@ -46,18 +44,9 @@ class IntMatrix:
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls(rows, cols, [[0] * cols for _ in range(rows)])
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def sparse_rows(self) -> list[list[tuple[int, int]]]:
         """Each row as ``(column, value)`` pairs of its nonzero entries."""
         return [[(j, v) for j, v in enumerate(row) if v] for row in self.entries]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols, self.rows, [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -212,13 +201,11 @@ def eliminate(rows: list[list[tuple[int, int]]], modulus: int) -> int:
 
     Each row lists ``(column, value)`` pairs with distinct columns.  Pivot rows
     are kept in a dict keyed by leading column, so reducing a row touches only
-    the pivots its own entries hit.  Over F_2 rows become bitmasks; over F_p
-    pivots are scaled to lead with 1; over Q each step is fraction-free
-    (``a*row - b*pivot``) followed by removal of the row's content, so entries
-    stay exact integers.
+    the pivots its own entries hit.  Columns may be any integers; a row's
+    leading column is its smallest.  Over F_p (F_2 included) pivots are scaled
+    to lead with 1; over Q each step is fraction-free (``a*row - b*pivot``)
+    followed by removal of the row's content, so entries stay exact integers.
     """
-    if modulus == 2:
-        return rank_mod2_bitrows([sum(1 << j for j, v in row if v & 1) for row in rows])
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
         work = {j: v % modulus for j, v in row if v % modulus} if modulus else {j: v for j, v in row if v}
@@ -274,7 +261,9 @@ def rank_mod2_bitrows(bitrows: list[int]) -> int:
     """Rank over F_2 of rows packed as integer bitmasks.
 
     Pivots are keyed by their lowest set bit; a row is reduced only by the
-    pivots whose key is its current lowest bit.
+    pivots whose key is its current lowest bit.  No library code calls this:
+    :func:`eliminate` serves F_2 like every other modulus.  It stays defined
+    because the benchmark tracer (``perfbench/tracer.py``) wraps it by name.
     """
     pivots: dict[int, int] = {}
     for row in bitrows:
@@ -286,10 +275,3 @@ def rank_mod2_bitrows(bitrows: list[int]) -> int:
                 break
             row ^= pivot
     return len(pivots)
-
-
-def rank_over_field(m: IntMatrix, ring: Ring) -> int:
-    """Exact rank of an integer matrix over Q or F_p."""
-    if not ring.is_field:
-        raise ValueError("rank_over_field needs Q or a prime field")
-    return eliminate(m.sparse_rows(), 0 if ring == Q else ring.p)

@@ -162,7 +162,7 @@ def suite_cells(cache: HomologyCache | None = None) -> SuiteReport:
         ok = True
         notes = []
         for system in (braid.TRIVIAL, braid.SIGN):
-            cpx = braid.build_fn_complex(k, system)
+            cpx = braid.dual_fn_complex(k, system)
             try:
                 cpx.check_boundary_condition()
             except ValueError as exc:

@@ -9,42 +9,36 @@ from polystab.abelian import AbelianGroup, GradedAbelianGroup
 from polystab.braid import (
     SIGN,
     TRIVIAL,
-    build_fn_complex,
+    CellModelError,
     config_homology,
     dk_homology,
     dual_fn_complex,
-    enumerate_cells,
     shuffle_sum,
 )
 from polystab.cache import HomologyCache
 from polystab.complexes import ChainComplex, complex_homology
-from polystab.linalg import IntMatrix
+from polystab.linalg import IntMatrix, eliminate
 from polystab.rings import GF, Q, Z
 
 Z1 = AbelianGroup(1)
 Z2 = AbelianGroup(0, (2,))
 
 
-def test_enumerate_cells_small():
-    assert {d: [c.parts for c in v] for d, v in enumerate_cells(1).items()} == {2: [(1,)]}
-    assert {d: [c.parts for c in v] for d, v in enumerate_cells(2).items()} == {
-        3: [(2,)],
-        4: [(1, 1)],
-    }
-    cells3 = enumerate_cells(3)
-    assert [c.parts for c in cells3[4]] == [(3,)]
-    assert sorted(c.parts for c in cells3[5]) == [(1, 2), (2, 1)]
-    assert [c.parts for c in cells3[6]] == [(1, 1, 1)]
+def test_cell_masks_small():
+    # k = 3: cut 1 is bit 1 and cut 2 is bit 0, so (1,2) -> 2, (2,1) -> 1, (3) -> 0
+    assert braid._dual_boundary_rows(3, SIGN, 1) == [[(1, 2), (2, -2)]]
+    assert braid._dual_boundary_rows(3, TRIVIAL, 1) == [[]]
+    assert braid._dual_boundary_rows(3, SIGN, 2) == [[(0, 3)], [(0, 3)]]
+    assert braid._dual_boundary_rows(3, TRIVIAL, 2) == [[(0, 1)], [(0, 1)]]
 
 
 def test_cell_count_and_dimensions():
+    # degree i holds the cells of dimension 2k - i: k - i parts, k - i - 1 cuts
     for k in range(1, 9):
-        cells = enumerate_cells(k)
-        assert sum(len(v) for v in cells.values()) == 2 ** (k - 1)
-        for dim, comps in cells.items():
-            for c in comps:
-                assert c.size == k
-                assert c.cell_dimension == dim == k + c.num_parts
+        counts = dual_fn_complex(k, TRIVIAL).generator_counts
+        assert sum(counts.values()) == 2 ** (k - 1)
+        for i, n in counts.items():
+            assert n == sum(1 for mask in range(2 ** (k - 1)) if mask.bit_count() == k - i - 1)
 
 
 def test_cell_euler_count_identity():
@@ -54,14 +48,6 @@ def test_cell_euler_count_identity():
             (-1) ** (k + r) * comb(k - 1, r - 1) for r in range(1, k + 1)
         )
         assert total == 0
-
-
-def test_enumerate_cells_bounds():
-    with pytest.raises(ValueError):
-        enumerate_cells(0)
-    with pytest.raises(ValueError):
-        enumerate_cells(11)
-    assert enumerate_cells(11, k_max=11)
 
 
 def _shuffle_sum_oracle(a, b, signed):
@@ -98,24 +84,132 @@ def test_signed_shuffle_closed_form():
 
 
 def test_forced_k2_boundaries():
-    triv = build_fn_complex(2, TRIVIAL)
-    assert triv.boundary_matrix(4).entries == [[0]]
-    sign = build_fn_complex(2, SIGN)
-    assert abs(sign.boundary_matrix(4).entries[0][0]) == 2
+    triv = dual_fn_complex(2, TRIVIAL)
+    assert triv.boundary_matrix(1).entries == [[0]]
+    sign = dual_fn_complex(2, SIGN)
+    assert abs(sign.boundary_matrix(1).entries[0][0]) == 2
 
 
 def test_k1_complex_has_single_generator():
     for system in (TRIVIAL, SIGN):
-        cpx = build_fn_complex(1, system)
-        assert cpx.generator_counts == {2: 1}
+        cpx = dual_fn_complex(1, system)
+        assert cpx.generator_counts == {0: 1}
         assert not cpx.boundary
 
 
 def test_boundary_squared_vanishes():
     for k in range(1, 9):
         for system in (TRIVIAL, SIGN):
-            build_fn_complex(k, system).check_boundary_condition()
             dual_fn_complex(k, system).check_boundary_condition()
+
+
+def _lexicographic_compositions(k, parts):
+    """Compositions of k with the given part count, in the old lexicographic cell order."""
+    out = []
+    for cuts in combinations(range(1, k), parts - 1):
+        bounds = (0, *cuts, k)
+        out.append(tuple(bounds[t + 1] - bounds[t] for t in range(parts)))
+    return out
+
+
+def _lexicographic_rows(k, system, i):
+    """Degree-i rows built from composition tuples, columns in lexicographic order.
+
+    A copy of the composition-table builder the cut masks replaced; it shares
+    only ``shuffle_sum`` with the library.
+    """
+    column = {c: j for j, c in enumerate(_lexicographic_compositions(k, k - i))}
+    rows = []
+    for comp in _lexicographic_compositions(k, k - i + 1):
+        row = []
+        for t in range(len(comp) - 1):
+            coeff = braid.shuffle_sum(comp[t], comp[t + 1], system == TRIVIAL)
+            if coeff:
+                merged = comp[:t] + (comp[t] + comp[t + 1],) + comp[t + 2 :]
+                row.append((column[merged], -coeff if t % 2 else coeff))
+        rows.append(row)
+    return rows
+
+
+def _dense(rows, cols):
+    out = [[0] * cols for _ in rows]
+    for dense, row in zip(out, rows):
+        for j, v in row:
+            dense[j] = v
+    return out
+
+
+def test_dense_matrices_match_the_lexicographic_builder():
+    for k in range(1, 10):
+        for system in (TRIVIAL, SIGN):
+            cpx = dual_fn_complex(k, system)
+            for i in range(1, k):
+                want = _dense(_lexicographic_rows(k, system, i), comb(k - 1, i))
+                assert cpx.boundary_matrix(i).entries == want, (k, system, i)
+
+
+def test_mask_order_ranks_match_the_lexicographic_order():
+    for k in range(2, 13):
+        for system in (TRIVIAL, SIGN):
+            for i in range(1, k):
+                old = _lexicographic_rows(k, system, i)
+                new = braid._dual_boundary_rows(k, system, i)
+                for modulus in (0, 2, 3, 5, 7):
+                    assert eliminate(new, modulus) == eliminate(old, modulus), (k, system, i, modulus)
+
+
+def _nonzero_squares(k, rows_by_degree, cell_keys):
+    """Cells whose boundary squared, replayed cell by cell over the rows, is nonzero.
+
+    ``rows_by_degree[i]`` holds the boundaries of the cells ``cell_keys[i - 1]``
+    as pairs over ``cell_keys[i]``; a target of d^2 lies two degrees up.
+    """
+    bad = []
+    for i in range(1, k - 1):
+        row_of = dict(zip(cell_keys[i], rows_by_degree[i + 1]))
+        for cell, row in zip(cell_keys[i - 1], rows_by_degree[i]):
+            square = {}
+            for mid, c1 in row:
+                for target, c2 in row_of[mid]:
+                    square[target] = square.get(target, 0) + c1 * c2
+            if any(square.values()):
+                bad.append(cell)
+    return bad
+
+
+def test_boundary_squared_of_every_built_row_vanishes():
+    # per-cell d^2 = 0 over the sparse rows themselves, so it also covers the
+    # row builder's keys and signs, which the triple self-check does not see
+    for k in range(1, 13):
+        masks = [[sum(1 << (k - 1 - c) for c in cuts) for cuts in combinations(range(1, k), k - i - 1)]
+                 for i in range(k)]
+        for system in (TRIVIAL, SIGN):
+            rows = {i: braid._dual_boundary_rows(k, system, i) for i in range(1, k)}
+            assert _nonzero_squares(k, rows, masks) == [], (k, system)
+
+
+def test_triple_self_check_matches_the_per_cell_check(monkeypatch):
+    # plant +1 on one shuffle coefficient at a time: the O(k^3) triple check
+    # must refuse exactly when some cell's boundary squared is nonzero
+    real = braid.shuffle_sum
+    for k in range(3, 8):
+        index = [range(comb(k - 1, i)) for i in range(k)]
+        for a in range(1, k):
+            for b in range(1, k - a + 1):
+                def planted(x, y, signed, a=a, b=b):
+                    return real(x, y, signed) + ((x, y) == (a, b))
+
+                monkeypatch.setattr(braid, "shuffle_sum", planted)
+                for system in (TRIVIAL, SIGN):
+                    rows = {i: _lexicographic_rows(k, system, i) for i in range(1, k)}
+                    broken = bool(_nonzero_squares(k, rows, index))
+                    try:
+                        dual_fn_complex(k, system, k_max=k)
+                    except CellModelError:
+                        refused = True
+                    else:
+                        refused = False
+                    assert refused == broken, (k, a, b, system)
 
 
 def test_config_homology_examples():
@@ -220,11 +314,18 @@ def test_dual_boundary_rows_are_sparse_and_well_formed():
             for i in range(1, k):
                 rows = braid._dual_boundary_rows(k, system, i)
                 assert len(rows) == comb(k - 1, i - 1)
-                for row in rows:
-                    cols = [j for j, _ in row]
-                    assert len(set(cols)) == len(cols) <= k - i
-                    assert all(0 <= j < comb(k - 1, i) for j in cols)
+                cells = combinations(range(1, k), k - i)
+                for row, cuts in zip(rows, cells):
+                    keys = [key for key, _ in row]
+                    assert len(set(keys)) == len(keys) <= k - i
+                    assert all(0 <= key < 2 ** (k - 1) for key in keys)
+                    assert all(key.bit_count() == k - i - 1 for key in keys)
                     assert all(coeff for _, coeff in row)
+                    # the first merge deletes the lowest cut, the highest bit
+                    first = shuffle_sum(cuts[0], (cuts[1:] or (k,))[0] - cuts[0], system == TRIVIAL)
+                    if first:
+                        mask = sum(1 << (k - 1 - c) for c in cuts)
+                        assert row[0] == (mask - (1 << (k - 1 - cuts[0])), first)
 
 
 def test_classical_stability():
@@ -251,7 +352,10 @@ def test_bounds_are_enforced():
     with pytest.raises(ValueError):
         config_homology(11, TRIVIAL, Z)
     with pytest.raises(ValueError):
-        build_fn_complex(0, TRIVIAL)
+        dual_fn_complex(0, TRIVIAL)
+    with pytest.raises(ValueError):
+        dual_fn_complex(11, TRIVIAL)
+    assert dual_fn_complex(11, TRIVIAL, k_max=11)
     with pytest.raises(ValueError):
         config_homology(3, "bogus", Z)
     assert config_homology(11, TRIVIAL, GF(2), k_max=11) is not None
@@ -262,10 +366,3 @@ def test_memo_shares_results(tmp_path):
     first = config_homology(6, SIGN, Z, cache=cache)
     second = config_homology(6, SIGN, Z, cache=cache)
     assert first is second  # the cache's memory front returns the identical table
-
-
-def test_composition_validation():
-    with pytest.raises(ValueError):
-        braid.Composition((0, 2))
-    c = braid.Composition((2, 1))
-    assert (c.size, c.num_parts, c.cell_dimension) == (3, 2, 5)

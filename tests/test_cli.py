@@ -232,13 +232,9 @@ def test_failed_self_check_exits_two(tmp_path, capsys, monkeypatch):
         return real(a, b, signed) + (1 if (a, b) == (2, 1) else 0)
 
     monkeypatch.setattr(braid, "shuffle_sum", broken)
-    braid._merge_table.cache_clear()
-    try:
-        code, out, err = run(
-            capsys, "betti", "--d", "6", "--m", "1", "--n", "2", "--json", "--cache-dir", str(tmp_path)
-        )
-    finally:
-        braid._merge_table.cache_clear()
+    code, out, err = run(
+        capsys, "betti", "--d", "6", "--m", "1", "--n", "2", "--json", "--cache-dir", str(tmp_path)
+    )
     assert code == 2
     doc = json.loads(out)
     assert doc["command"] == "betti"

@@ -201,6 +201,9 @@ def test_count_examples():
 def test_count_budget_refusal():
     with pytest.raises(ValueError, match="raise the budget to at least 1024"):
         count_points(10, 1, 2, 2, budget=1000)
+    # the default budget refuses 100003 first entries, about ten seconds of work
+    with pytest.raises(ValueError, match="enumeration of 100003 first entries exceeds the budget 100000"):
+        count_points(1, 2, 1, 100003)
 
 
 def test_count_budget_bounds_first_entries():
