@@ -348,14 +348,19 @@ def test_truncated_queries_match_full():
         assert dims_part.top_degree() is None or dims_part.top_degree() <= 2
 
 
-def test_bounds_are_enforced():
-    with pytest.raises(ValueError):
-        config_homology(11, TRIVIAL, Z)
+def test_enumerate_cells_bounds():
     with pytest.raises(ValueError):
         dual_fn_complex(0, TRIVIAL)
     with pytest.raises(ValueError):
         dual_fn_complex(11, TRIVIAL)
     assert dual_fn_complex(11, TRIVIAL, k_max=11)
+
+
+def test_bounds_are_enforced():
+    with pytest.raises(ValueError):
+        config_homology(11, TRIVIAL, Z)
+    with pytest.raises(ValueError):
+        dual_fn_complex(0, TRIVIAL)
     with pytest.raises(ValueError):
         config_homology(3, "bogus", Z)
     assert config_homology(11, TRIVIAL, GF(2), k_max=11) is not None
