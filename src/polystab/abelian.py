@@ -123,11 +123,6 @@ class GradedAbelianGroup:
                 data[int(deg)] = grp
         self._groups = data
 
-    @classmethod
-    def from_dims(cls, dims: Mapping[int, int]) -> "GradedAbelianGroup":
-        """Field-coefficient table: degree -> dimension."""
-        return cls({d: AbelianGroup(v) for d, v in dims.items() if v})
-
     def group(self, degree: int) -> AbelianGroup:
         return self._groups.get(degree, ZERO_GROUP)
 

@@ -26,8 +26,8 @@ triple of block sizes, checked in O(k^3) by :func:`_merge_coefficients`.
 This complex computes Borel-Moore homology; the space is an open complex
 manifold of real dimension 2k, so transposing the complex and regrading a
 cell of dimension j into homological degree 2k - j computes ordinary
-homology, with matching torsion.  That transposed complex is what
-:func:`config_homology` reduces.
+homology, with matching torsion.  :func:`config_homology` reduces it by ranks alone, for
+every ring; the dense :func:`dual_fn_complex` and Smith normal form are the test oracle.
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ from math import comb
 
 from .abelian import AbelianGroup, GradedAbelianGroup
 from .cache import BraidHomologyKey, HomologyCache
-from .complexes import ChainComplex, complex_homology
-from .linalg import IntMatrix, rank_int_rows, rank_mod_p_rows
-from .rings import Q, Ring, Z
+from .complexes import ChainComplex, complex_homology  # noqa: F401  kept: perfbench/tracer.py wraps it by name
+from .linalg import IntMatrix, p_local_ranks, rank_int_rows, rank_mod_p_rows
+from .rings import Ring, Z, is_prime
 
 TRIVIAL = "trivial"
 SIGN = "sign"
@@ -48,7 +48,7 @@ DEFAULT_K_MAX = 10
 
 
 class CellModelError(RuntimeError):
-    """The cell model failed its boundary-squared self-check: a sign bug, not user error."""
+    """The cell model failed its boundary-squared self-check or an integral table its local certificate."""
 
 
 def _check_system(system: str) -> None:
@@ -84,10 +84,10 @@ def dual_fn_complex(k: int, system: str, k_max: int = DEFAULT_K_MAX) -> ChainCom
     A cell of dimension j lands in degree 2k - j; the boundary in degree i is
     the transpose of the merge differential into the cells with k - i parts,
     made dense from the sparse rows of :func:`_dual_boundary_rows` for the
-    integral (Smith normal form) route.  Rows and columns are numbered in
-    ``combinations`` order of the cuts.  Poincare duality for the open
-    2k-manifold makes this compute ordinary homology with the chosen rank-one
-    system.  Construction raises :class:`CellModelError` if the
+    dense oracle (Smith normal form) and ``verify cells``.  Rows and columns
+    are numbered in ``combinations`` order of the cuts.  Poincare duality for
+    the open 2k-manifold makes this compute ordinary homology with the chosen
+    rank-one system.  Construction raises :class:`CellModelError` if the
     boundary-squared self-check fails.
     """
     _check_k(k, k_max)
@@ -173,21 +173,36 @@ def _dual_boundary_rows(k: int, system: str, i: int) -> list[list[tuple[int, int
     return rows
 
 
-def _field_dims(k: int, system: str, ring: Ring, through: int | None) -> dict[int, int]:
-    """dim H_i(C_k; system x ring) for i up to ``through`` (defaults to all)."""
-    top = k - 1 if k > 1 else 0
-    hi = top if through is None else min(through, top)
-    if hi < 0:
-        return {}
-    ranks: dict[int, int] = {}
+def _homology(k: int, system: str, ring: Ring, through: int | None) -> GradedAbelianGroup:
+    """H_i(C_k; system x ring) for i up to ``through`` (defaults to all), one degree's rows at a time.
+
+    Degree i has comb(k-1, i) - r_i - r_(i+1) free generators, r_i the rank of d_i over the
+    field (over Q for Z).  Over Z, degree i-1 also has b copies of Z/p for each prime p <= k,
+    where d_i has a + b divisors of p-adic valuation 0 or 1 (:func:`p_local_ranks`); if a + b
+    is not the rank over Q, p^2 divides a divisor, against F. Cohen's exponent-p theorem
+    (Cohen-Lada-May, LNM 533, III), and :class:`CellModelError` is raised.
+
+    No prime q > k divides a divisor: F(C, k) -> C_k is a k!-sheeted cover that makes the
+    system trivial, and transfer then projection is multiplication by k!, so H_*(C_k; L x
+    Z[1/k!]) is a summand of the free H_*(F(C, k); Z[1/k!]) (Arnold).
+    """
+    hi = k - 1 if through is None else min(through, k - 1)
+    primes = [p for p in range(2, k + 1) if is_prime(p)] if ring == Z else []
+    ranks, torsion = {}, {i: [] for i in range(k)}
     for i in range(1, min(hi + 1, k - 1) + 1):
         rows = _dual_boundary_rows(k, system, i)
-        ranks[i] = rank_int_rows(rows) if ring == Q else rank_mod_p_rows(rows, ring.p)
-    dims = {}
-    for i in range(hi + 1):
-        count = comb(k - 1, i)
-        dims[i] = count - ranks.get(i, 0) - ranks.get(i + 1, 0)
-    return dims
+        ranks[i] = rank_mod_p_rows(rows, ring.p) if ring.p else rank_int_rows(rows)
+        for p in primes:
+            units, by_p = p_local_ranks(rows, p)
+            if units + by_p != ranks[i]:
+                raise CellModelError(f"integral homology of C_{k} ({system} system) in degree {i - 1}: "
+                                     f"an elementary divisor is divisible by {p}^2; no table is given")
+            torsion[i - 1] += [p] * by_p
+        del rows
+    return GradedAbelianGroup({
+        i: AbelianGroup.from_orders(comb(k - 1, i) - ranks.get(i, 0) - ranks.get(i + 1, 0), torsion[i])
+        for i in range(hi + 1)
+    })
 
 
 def config_homology(
@@ -210,11 +225,11 @@ def config_homology(
     _check_k(k, k_max)
     _check_system(system)
     if ring != Z:
-        return GradedAbelianGroup({i: AbelianGroup(d) for i, d in _field_dims(k, system, ring, through).items()})
+        return _homology(k, system, ring, through)
     key = BraidHomologyKey(k, system)
     result = cache.get(key) if cache is not None else None
     if result is None:
-        result = complex_homology(dual_fn_complex(k, system, k_max=k_max), Z)
+        result = _homology(k, system, Z, None)
         if cache is not None:
             cache.put(key, result)
     if through is not None:

@@ -4,7 +4,7 @@ JSON mode emits exactly one canonical document on standard output (dictionary
 keys ordered, numeric-looking keys numerically), so identical inputs produce
 identical bytes.  Exit status: 0 success, 1 validation error, 2 verification
 failure (a failed verification suite, a point-count mismatch, or a failed
-cell-model self-check).
+cell-model self-check or integral certificate).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from math import log10
 from pathlib import Path
 
 from . import __version__, braid, ffield, jets, spaces, verify
@@ -166,7 +167,14 @@ def _cmd_stability_dim(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    params = {"d": args.d, "m": args.m, "n": args.n, "p": args.p, "mode": args.mode}
+    d, m, n, p = args.d, args.m, args.n, args.p
+    bound = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if min(d, m, n) >= 1 and p >= 2 and (m, n) != (1, 1):
+        # unless m = n = 1 (count 0), the count is at least p^(dm)/2: it is computed only near the bound
+        size = d * m * log10(p)
+        if size >= bound + 1 or (size >= bound - 1 and ffield.closed_form_count(d, m, n, p) >= 10**bound):
+            raise ValueError(f"the count has about {int(size) + 1} digits, over the output bound of {bound} digits")
+    params = {"d": d, "m": m, "n": n, "p": p, "mode": args.mode}
     result: dict = {}
     lines = []
     if args.mode in ("brute", "both"):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .abelian import AbelianGroup, GradedAbelianGroup
 from .linalg import IntMatrix, rank_int_rows, rank_mod_p_rows, smith_normal_form
-from .rings import Q, Ring, Z
+from .rings import Ring, Z
 
 
 class ChainComplex:
@@ -82,14 +82,8 @@ def complex_homology(cpx: ChainComplex, ring: Ring = Z) -> GradedAbelianGroup:
             free = cpx.generator_counts[i] - rank_in - rank_out
             groups[i] = AbelianGroup(free, torsion)
     else:
-        def field_rank(mat: IntMatrix) -> int:
-            if ring == Q:
-                return rank_int_rows(mat.sparse_rows())
-            return rank_mod_p_rows(mat.sparse_rows(), ring.p)
-
-        ranks = {
-            i: field_rank(cpx.boundary_matrix(i)) for i in range(cpx.low + 1, cpx.high + 1)
-        }
+        rows = {i: cpx.boundary_matrix(i).sparse_rows() for i in range(cpx.low + 1, cpx.high + 1)}
+        ranks = {i: rank_mod_p_rows(r, ring.p) if ring.p else rank_int_rows(r) for i, r in rows.items()}
         for i in cpx.degrees:
             dim = cpx.generator_counts[i] - ranks.get(i, 0) - ranks.get(i + 1, 0)
             groups[i] = AbelianGroup(dim)

@@ -140,8 +140,8 @@ def count_points(
         raise ValueError("d, m, n must be positive")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    firsts = p**d
-    if firsts > budget:
+    firsts = p**d if d < 2 * budget.bit_length() else f"{p}^{d}"  # a huge p^d is named, not computed
+    if d >= budget.bit_length() or firsts > budget:  # the first gives p^d >= 2^d > budget
         raise ValueError(f"enumeration of {firsts} first entries exceeds the budget {budget}; "
                          f"raise the budget to at least {firsts}")
     if n > d:
@@ -172,4 +172,4 @@ def closed_form_count(d: int, m: int, n: int, q: int) -> int:
         raise ValueError("need d, m, n >= 1 and q >= 2")
     if d < n:
         return q ** (d * m)
-    return q ** (d * m) - q ** (d * m - m * n + 1)
+    return q ** (d * m) - q ** (d * m - m * n + 1) if m * n > 1 else 0  # never q^d - q^d

@@ -54,10 +54,6 @@ class Ring:
     def is_field(self) -> bool:
         return self.label != "Z"
 
-    @property
-    def is_prime_field(self) -> bool:
-        return self.p is not None
-
     def __str__(self) -> str:
         return self.label
 

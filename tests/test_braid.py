@@ -250,6 +250,34 @@ def _presentation_homology(generators, relators, images):
 BRAID3_RELATOR = [("a", 1), ("b", 1), ("a", 1), ("b", -1), ("a", -1), ("b", -1)]
 
 
+def test_integral_tables_match_the_smith_oracle():
+    # the rank route against dense Smith normal form; SNF finishes at k = 10 trivial
+    for k in range(1, 11):
+        for system in (TRIVIAL, SIGN) if k < 10 else (TRIVIAL,):
+            oracle = complex_homology(dual_fn_complex(k, system), Z)
+            assert config_homology(k, system, Z) == oracle, (k, system)
+
+
+def test_failed_local_certificate_is_refused(monkeypatch):
+    # a pretended p^2 divisor: a + b falls short of the rank over Q
+    monkeypatch.setattr(braid, "p_local_ranks", lambda rows, p: (0, 0))
+    with pytest.raises(CellModelError, match=r"C_4 \(sign system\) in degree 0: .* divisible by 2\^2"):
+        config_homology(4, SIGN, Z)
+
+
+def test_local_certificate_holds_through_k14():
+    # past the Smith oracle: every prime p <= k certifies, and the integral
+    # table agrees with the independently eliminated field tables
+    for k in range(11, 15):
+        for system in (TRIVIAL, SIGN):
+            integral = config_homology(k, system, Z, k_max=14)
+            for p in (2, 3, 5, 7, 11, 13):
+                direct = config_homology(k, system, GF(p), k_max=14)
+                assert direct.dims(k) == [integral.dim_mod(i, p) for i in range(k + 1)], (k, system, p)
+            rational = config_homology(k, system, Q, k_max=14)
+            assert rational.dims(k) == [integral.dim_rational(i) for i in range(k + 1)], (k, system)
+
+
 def test_fox_oracle_matches_cell_model_for_three_strands():
     # the 3-strand group is <a, b | aba = bab>; its presentation 2-complex is
     # aspherical (one-relator, relator not a proper power), so this is exact.

@@ -1,6 +1,7 @@
 import io
 import json
 import marshal
+import math
 import os
 import subprocess
 import sys
@@ -10,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from polystab import braid, cli, verify
-from polystab.rings import MILLER_RABIN_BOUND
+from polystab import braid, cli, complexes, linalg, spaces, verify
+from polystab.abelian import GradedAbelianGroup
+from polystab.rings import GF, MILLER_RABIN_BOUND, Q
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -296,7 +298,7 @@ def test_ring_past_primality_bound_exits_one(capsys):
 
 def test_benchmark_tracer_binds_package_layers(tmp_path):
     cases = [
-        (("betti", "--d", "4", "--m", "1", "--n", "2"), None, {"spaces.poly_homology", "linalg.snf"}),
+        (("betti", "--d", "4", "--m", "1", "--n", "2"), None, {"spaces.poly_homology", "linalg.rank_q"}),
         (("count", "--d", "2", "--m", "2", "--n", "2", "--p", "3"), None,
          {"ffield.count_points", "ffield.is_member"}),
         (("jet", "--n", "2"), "0,0,1\n", {"jets.check"}),
@@ -310,3 +312,103 @@ def test_benchmark_tracer_binds_package_layers(tmp_path):
         assert done.returncode == 0, done.stderr
         names = {span[0] for span in marshal.loads(spans_file.read_bytes())["spans"]}
         assert spans <= names, argv
+
+
+@pytest.mark.parametrize("argv, table", [
+    (("betti", "--d", "20", "--m", "1", "--n", "2"), lambda ring: spaces.poly_homology(20, 1, 2, ring)),
+    (("hol-betti", "--d", "10", "--n", "2"), lambda ring: spaces.hol_homology(10, 2, ring)),
+])
+def test_integral_k10_tables_finish_and_match_the_fields(tmp_path, argv, table):
+    # both requests sit at the default k_max = 10, where dense Smith normal form hung
+    started = time.perf_counter()
+    done = run_process("-m", "polystab.cli", *argv, "--json", "--cache-dir", str(tmp_path), timeout=20)
+    elapsed = time.perf_counter() - started
+    assert done.returncode == 0, done.stderr
+    assert elapsed < 2, f"took {elapsed:.2f}s"
+    integral = GradedAbelianGroup.from_payload(json.loads(done.stdout)["result"]["homology"])
+    top = integral.top_degree()
+    for p in (2, 3, 5, 7):
+        dims = table(GF(p)).groups
+        assert [integral.dim_mod(i, p) for i in range(top + 2)] == dims.dims(top + 1), p
+    assert [integral.dim_rational(i) for i in range(top + 2)] == table(Q).groups.dims(top + 1)
+
+
+def test_failed_local_certificate_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(braid, "p_local_ranks", lambda rows, p: (0, 0))
+    code, out, err = run(capsys, "betti", "--d", "8", "--m", "1", "--n", "2", "--json")
+    assert code == 2
+    assert "divisible by 2^2" in json.loads(out)["error"]["message"]
+    assert "Traceback" not in err
+
+
+def test_commands_skip_the_dense_oracle(tmp_path, capsys, monkeypatch):
+    # integral tables come from ranks: only verify cells builds the dense complex
+    seen = set()
+    for owner, name in ((complexes, "smith_normal_form"), (linalg, "smith_normal_form"),
+                        (braid, "complex_homology"), (complexes, "complex_homology"),
+                        (braid, "dual_fn_complex")):
+        def spy(*args, _real=getattr(owner, name), _name=name, **kwargs):
+            seen.add(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+    commands = [
+        ("betti", "--d", "8", "--m", "1", "--n", "2"),
+        ("hol-betti", "--d", "4", "--n", "3"),
+        ("e1", "--flavor", "poly", "--d", "8", "--m", "1", "--n", "2"),
+        ("e1", "--flavor", "hol", "--d", "4", "--n", "2"),
+        ("stable-series", "--n", "2", "--through", "8", "--ring", "f2"),
+        *(("verify", suite) for suite in sorted(verify.SUITES)),
+    ]
+    for argv in commands:
+        seen.clear()
+        code, _, _ = run(capsys, *argv, "--json", "--cache-dir", str(tmp_path))
+        assert code == 0, argv
+        assert seen == ({"dual_fn_complex"} if argv == ("verify", "cells") else set()), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ("--d", "2", "--m", "100000000", "--n", "2", "--p", "3"),
+    ("--d", "100000000", "--m", "2", "--n", "2", "--p", "3", "--mode", "brute"),
+    ("--d", "1000000", "--m", "2", "--n", "2", "--p", "3"),
+])
+def test_count_refuses_unprintable_answers_quickly(argv):
+    bound = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    started = time.perf_counter()
+    done = run_process("-m", "polystab.cli", "count", *argv, "--json", timeout=20)
+    elapsed = time.perf_counter() - started
+    assert done.returncode == 1
+    message = json.loads(done.stdout)["error"]["message"]
+    assert f"over the output bound of {bound} digits" in message
+    assert "Traceback" not in done.stderr
+    assert elapsed < 2, f"took {elapsed:.2f}s"
+
+
+def test_count_at_the_digit_bound(capsys):
+    # 3^9012 has 4300 digits and prints; 3^9013 has 4301 and is refused
+    bound = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    d = int(bound / math.log10(3))
+    while 3 ** (d + 1) < 10**bound:
+        d += 1
+    while 3**d >= 10**bound:
+        d -= 1
+    code, out, _ = run(capsys, "count", "--d", str(d), "--m", "1", "--n", "1000000", "--p", "3",
+                       "--mode", "formula", "--json")
+    assert code == 0
+    assert json.loads(out)["result"]["formula"] == 3**d
+    code, out, _ = run(capsys, "count", "--d", str(d + 1), "--m", "1", "--n", "1000000", "--p", "3",
+                       "--mode", "formula", "--json")
+    assert code == 1
+    assert f"{bound} digits" in json.loads(out)["error"]["message"]
+
+
+def test_count_with_m_and_n_one_is_zero_quickly(capsys):
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "count", "--d", "100000000", "--m", "1", "--n", "1", "--p", "3",
+                       "--mode", "formula", "--json")
+    assert code == 0
+    assert json.loads(out)["result"] == {"formula": 0}
+    code, out, _ = run(capsys, "count", "--d", "100000000", "--m", "1", "--n", "1", "--p", "3", "--json")
+    assert code == 1
+    assert "3^100000000 first entries exceeds the budget" in json.loads(out)["error"]["message"]
+    assert time.perf_counter() - started < 2

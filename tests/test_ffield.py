@@ -206,6 +206,13 @@ def test_count_budget_refusal():
         count_points(1, 2, 1, 100003)
 
 
+def test_count_budget_refuses_huge_degrees_unevaluated():
+    # 3^(10^8) is never computed: 2^d > budget once d >= budget.bit_length()
+    with pytest.raises(ValueError, match=r"enumeration of 3\^100000000 first entries exceeds the budget"):
+        count_points(10**8, 2, 2, 3)
+    assert closed_form_count(10**8, 1, 1, 3) == 0
+
+
 def test_count_budget_bounds_first_entries():
     # 5^18 tuples, but only 5^6 first entries are enumerated
     assert count_points(6, 3, 2, 5) == closed_form_count(6, 3, 2, 5)
