@@ -53,14 +53,12 @@ from .spaces import (
     HomologyTable,
     Params,
     PoincareSeries,
-    StableRangeReport,
     e1_page_hol,
     e1_page_poly,
     hol_homology,
     omega_series,
     poly_homology,
     stability_dimension,
-    stable_range_check,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -156,10 +156,6 @@ class GradedAbelianGroup:
         """Free ranks in degrees 0..through (the dimensions, for field tables)."""
         return [self.free_rank(d) for d in range(through + 1)]
 
-    def dim_rational(self, degree: int) -> int:
-        """dim_Q of degree ``degree`` after tensoring an integral table with Q."""
-        return self.free_rank(degree)
-
     def dim_mod(self, degree: int, p: int) -> int:
         """dim_Fp in degree ``degree`` of an integral table reduced mod p.
 

@@ -20,7 +20,7 @@ from pathlib import Path
 from . import __version__, braid, ffield, jets, spaces, verify
 from .cache import HomologyCache, default_cache_dir
 from .poly import Poly
-from .rings import Ring, parse_ring
+from .rings import Ring, is_prime, parse_ring
 
 SCHEMA_VERSION = 1
 
@@ -168,8 +168,10 @@ def _cmd_stability_dim(args) -> int:
 
 def _cmd_count(args) -> int:
     d, m, n, p = args.d, args.m, args.n, args.p
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     bound = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    if min(d, m, n) >= 1 and p >= 2 and (m, n) != (1, 1):
+    if min(d, m, n) >= 1 and (m, n) != (1, 1):
         # unless m = n = 1 (count 0), the count is at least p^(dm)/2: it is computed only near the bound
         size = d * m * log10(p)
         if size >= bound + 1 or (size >= bound - 1 and ffield.closed_form_count(d, m, n, p) >= 10**bound):

@@ -57,9 +57,6 @@ class HomologyTable:
     def dims(self, through: int) -> list[int]:
         return self.groups.dims(through)
 
-    def same_groups(self, other: "HomologyTable") -> bool:
-        return self.groups == other.groups
-
 
 @dataclass(frozen=True)
 class PoincareSeries:
@@ -153,19 +150,6 @@ class E1Page:
     def entry(self, k: int, s: int) -> AbelianGroup:
         return self.entries.get((k, s), AbelianGroup())
 
-    def in_support(self, k: int, s: int) -> bool:
-        if (k, s) == (0, 0):
-            return True
-        return 1 <= k <= self.k_top and s >= self.twist * k
-
-    def antidiagonal_dim(self, total_degree: int) -> int:
-        """Total dimension in total degree j = s - k (field coefficients only)."""
-        if not self.ring.is_field:
-            raise ValueError("antidiagonal dimensions need field coefficients")
-        return sum(
-            g.free_rank for (k, s), g in self.entries.items() if s - k == total_degree
-        )
-
     def nonzero_cells(self) -> list[tuple[int, int]]:
         return sorted(self.entries)
 
@@ -249,58 +233,3 @@ def omega_series(
             if j <= through:
                 coeffs[j] += part.free_rank(q)
     return PoincareSeries(tuple(coeffs), through)
-
-
-@dataclass(frozen=True)
-class StableRangeReport:
-    """Outcome of the stable-range and plateau checks for one parameter triple."""
-
-    d: int
-    m: int
-    n: int
-    ring: Ring
-    dimension_bound: int
-    agrees_through_bound: bool
-    plateau_applicable: bool
-    plateau_holds: bool
-
-    @property
-    def first_possible_deviation(self) -> int:
-        return self.dimension_bound + 1
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.agrees_through_bound
-            and (self.plateau_holds or not self.plateau_applicable)
-        )
-
-
-def stable_range_check(
-    d: int,
-    m: int,
-    n: int,
-    ring: Ring,
-    *,
-    k_max: int = DEFAULT_K_MAX,
-    cache: HomologyCache | None = None,
-) -> StableRangeReport:
-    """Verify the finite table matches the limit series through the stability
-    dimension, and that bumping d without moving floor(d/n) leaves the table
-    unchanged."""
-    if not ring.is_field:
-        raise ValueError("the range comparison is dimension-wise; use Q or F_p")
-    p = Params(d, m, n)
-    bound = stability_dimension(d, m, n)
-    table = poly_homology(d, m, n, ring, k_max=k_max, cache=cache)
-    series = omega_series(p.mn, ring, bound, k_max=k_max, cache=cache)
-    agrees = table.dims(bound) == list(series.coefficients)
-    plateau_applicable = (d + 1) // n == p.top_summand
-    plateau_holds = True
-    if plateau_applicable:
-        plateau_holds = table.same_groups(
-            poly_homology(d + 1, m, n, ring, k_max=k_max, cache=cache)
-        )
-    return StableRangeReport(
-        d, m, n, ring, bound, agrees, plateau_applicable, plateau_holds
-    )

@@ -72,7 +72,7 @@ def test_payload_roundtrip_is_exact():
 def test_universal_coefficient_dimensions():
     # Z + Z/4 in degree 2, Z/2 in degree 1.
     g = GradedAbelianGroup({1: AbelianGroup(0, (2,)), 2: AbelianGroup(1, (4,))})
-    assert g.dim_rational(2) == 1
+    assert g.free_rank(2) == 1
     assert g.dim_mod(2, 2) == 1 + 1 + 1  # rank + own 4 + Tor from the Z/2 below
     assert g.dim_mod(2, 3) == 1
     assert g.dim_mod(1, 2) == 1

@@ -53,7 +53,7 @@ def test_criterion_06_classical_limit_series():
 
 
 def test_criterion_07_stability_plateau_and_range():
-    _run(7, "stability plateau and range", "stability", 60)
+    _run(7, "stable range vs closed-form limit series", "stability", 60)
 
 
 def test_criterion_08_d2_fixture():
@@ -61,7 +61,7 @@ def test_criterion_08_d2_fixture():
 
 
 def test_criterion_09_e1_bookkeeping():
-    _run(9, "first-page bookkeeping", "e1", 10)
+    _run(9, "first-page entries vs closed form by weight", "e1", 10)
 
 
 def test_criterion_10_limit_closed_form():

@@ -19,6 +19,7 @@ from polystab.cache import HomologyCache
 from polystab.complexes import ChainComplex, complex_homology
 from polystab.linalg import IntMatrix, eliminate
 from polystab.rings import GF, Q, Z
+from polystab.verify import loop_space_series
 
 Z1 = AbelianGroup(1)
 Z2 = AbelianGroup(0, (2,))
@@ -275,7 +276,27 @@ def test_local_certificate_holds_through_k14():
                 direct = config_homology(k, system, GF(p), k_max=14)
                 assert direct.dims(k) == [integral.dim_mod(i, p) for i in range(k + 1)], (k, system, p)
             rational = config_homology(k, system, Q, k_max=14)
-            assert rational.dims(k) == [integral.dim_rational(i) for i in range(k + 1)], (k, system)
+            assert rational.dims(k) == [integral.free_rank(i) for i in range(k + 1)], (k, system)
+
+
+def test_sign_tables_match_the_closed_form_by_weight():
+    # H_i(C_k; sign x F_p) is weight k, degree i + k of the double loop space of S^3
+    for p in (2, 3, 5, 7, 0):
+        rows = loop_space_series(2, p, 24)
+        for k in range(1, 13):
+            got = config_homology(k, SIGN, GF(p) if p else Q, k_max=12)
+            assert got.dims(k) == rows[k][k : 2 * k + 1], (k, p)
+
+
+def test_integral_sign_tables_match_the_closed_form_through_k14():
+    # universal coefficients against weight k over Q and each F_p, p <= k; with
+    # exponent-p torsion and no prime above k this fixes the integral table
+    for k in range(1, 15):
+        table = dk_homology(k, Z, k_max=14)
+        for p in (0, 2, 3, 5, 7, 11, 13):
+            if p <= k:
+                got = [table.dim_mod(j, p) if p else table.free_rank(j) for j in range(2 * k + 1)]
+                assert got == loop_space_series(2, p, 2 * k)[k], (k, p)
 
 
 def test_fox_oracle_matches_cell_model_for_three_strands():
@@ -333,7 +354,7 @@ def test_field_dims_match_universal_coefficients():
                     assert direct.free_rank(i) == integral.dim_mod(i, p)
             rational = config_homology(k, system, Q)
             for i in range(k):
-                assert rational.free_rank(i) == integral.dim_rational(i)
+                assert rational.free_rank(i) == integral.free_rank(i)
 
 
 def test_dual_boundary_rows_are_sparse_and_well_formed():

@@ -88,6 +88,12 @@ def test_count_both_modes(capsys):
     assert doc["result"] == {"brute": 2, "equal": True, "formula": 2}
 
 
+@pytest.mark.parametrize("mode", ["formula", "brute", "both"])
+def test_count_refuses_a_non_prime_in_every_mode(capsys, mode):
+    code, out, err = run(capsys, "count", "--d", "3", "--m", "2", "--n", "2", "--p", "4", "--mode", mode)
+    assert (code, out, err) == (1, "", "polystab: error: 4 is not prime\n")
+
+
 def test_count_meets_the_pd_target():
     # 3^12 tuples; the counter enumerates the 3^6 first entries
     started = time.perf_counter()
@@ -330,7 +336,7 @@ def test_integral_k10_tables_finish_and_match_the_fields(tmp_path, argv, table):
     for p in (2, 3, 5, 7):
         dims = table(GF(p)).groups
         assert [integral.dim_mod(i, p) for i in range(top + 2)] == dims.dims(top + 1), p
-    assert [integral.dim_rational(i) for i in range(top + 2)] == table(Q).groups.dims(top + 1)
+    assert [integral.free_rank(i) for i in range(top + 2)] == table(Q).groups.dims(top + 1)
 
 
 def test_failed_local_certificate_exits_two(capsys, monkeypatch):

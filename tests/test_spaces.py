@@ -13,7 +13,6 @@ from polystab.spaces import (
     omega_series,
     poly_homology,
     stability_dimension,
-    stable_range_check,
 )
 from polystab.verify import loop_space_series
 
@@ -63,8 +62,8 @@ def test_splitting_identity_up_to_default_bound():
 
 def test_poly_depends_only_on_floor():
     for ring in (Z, GF(2)):
-        assert poly_homology(4, 1, 2, ring).same_groups(poly_homology(5, 1, 2, ring))
-        assert poly_homology(4, 2, 2, ring).same_groups(poly_homology(5, 2, 2, ring))
+        assert poly_homology(4, 1, 2, ring).groups == poly_homology(5, 1, 2, ring).groups
+        assert poly_homology(4, 2, 2, ring).groups == poly_homology(5, 2, 2, ring).groups
 
 
 def test_poly_rejects_excluded_parameters():
@@ -118,25 +117,22 @@ def test_e1_poly_small_case():
 def test_e1_support_matches_invariants():
     page = e1_page_poly(6, 2, 2, Z)
     for k, s in page.nonzero_cells():
-        assert page.in_support(k, s)
+        # column k holds H_i(C_k; sign) at s = twist*k + i, 0 <= i < k
+        assert (k, s) == (0, 0) or 1 <= k <= page.k_top and 0 <= s - page.twist * k < k
     assert page.entry(4, 24).is_zero  # k beyond floor(d/n)
     assert page.entry(1, 5).is_zero  # below the twist line
     assert page.entry(0, 1).is_zero
 
 
 def test_e1_antidiagonals_match_table():
+    # over a field the antidiagonal s - k = j has the table's dimension in degree j
     for ring in (GF(2), GF(3), Q):
         page = e1_page_poly(6, 2, 2, ring)
         table = poly_homology(6, 2, 2, ring)
         top = table.groups.top_degree() or 0
         for j in range(top + 2):
-            assert page.antidiagonal_dim(j) == table.groups.free_rank(j)
-
-
-def test_e1_antidiagonal_requires_field():
-    page = e1_page_poly(4, 1, 2, Z)
-    with pytest.raises(ValueError):
-        page.antidiagonal_dim(1)
+            diagonal = [page.entry(k, s).free_rank for k, s in page.nonzero_cells() if s - k == j]
+            assert sum(diagonal) == table.groups.free_rank(j)
 
 
 def test_e1_hol_flavor():
@@ -214,10 +210,13 @@ def test_omega_series_sphere5_mod2_matches_classical_answer():
         (2, 2, 15, [], [1, 3, 7, 15]),
         (3, 3, 36, [3, 11, 35], [10, 34]),  # S^5 mod 3: generators 4*3^j - 1, 4*3^j - 2
         (4, 5, 40, [5, 29], [28]),  # S^7 mod 5: generators 6*5^j - 1, 6*5^j - 2
+        (2, 0, 12, [1], []),  # rationally one exterior class of degree 2N - 3
+        (4, 0, 12, [5], []),
     ],
 )
 def test_loop_space_series_matches_generator_degrees(N, p, through, exterior, polynomial):
-    assert loop_space_series(N, p, through) == _free_algebra_series(exterior, polynomial, through)
+    rows = loop_space_series(N, p, through)
+    assert [sum(column) for column in zip(*rows)] == _free_algebra_series(exterior, polynomial, through)
 
 
 def test_loop_space_series_guards():
@@ -234,31 +233,29 @@ def test_poincare_series_indexing():
     assert series[3] == 1
 
 
+def _limit(N, p, through):
+    return [sum(column) for column in zip(*loop_space_series(N, p, through))]
+
+
 def test_stable_range_example():
-    report = stable_range_check(4, 1, 2, GF(2))
-    assert report.dimension_bound == 2
-    assert report.first_possible_deviation == 3
-    assert report.passed
-    # the mod-2 tables genuinely part ways exactly at degree 3 here
-    table = poly_homology(4, 1, 2, GF(2))
-    series = omega_series(2, GF(2), 3)
-    assert table.dims(3)[3] != series[3]
+    # the mod-2 table equals the limit through D = 2 and parts from it exactly at degree 3
+    assert stability_dimension(4, 1, 2) == 2
+    table = poly_homology(4, 1, 2, GF(2)).dims(3)
+    limit = _limit(2, 2, 3)
+    assert table[:3] == limit[:3]
+    assert table[3] != limit[3]
 
 
 def test_stable_range_plateau_pair():
-    report = stable_range_check(2, 2, 2, GF(3))
-    assert report.plateau_applicable and report.plateau_holds
-    assert poly_homology(2, 2, 2, Z).same_groups(poly_homology(3, 2, 2, Z))
+    # d = 2 and d = 3 share floor(d/2) = 1
+    for ring in (Z, GF(3)):
+        assert poly_homology(2, 2, 2, ring).groups == poly_homology(3, 2, 2, ring).groups
 
 
 def test_stable_range_point_case():
-    report = stable_range_check(1, 2, 2, Q)
-    assert report.passed
-
-
-def test_stable_range_requires_field():
-    with pytest.raises(ValueError):
-        stable_range_check(4, 1, 2, Z)
+    # d < n: the point's table, which is the rational limit through D = 4
+    bound = stability_dimension(1, 2, 2)
+    assert poly_homology(1, 2, 2, Q).dims(bound) == _limit(4, 0, bound) == [1, 0, 0, 0, 0]
 
 
 def test_summand_degree_window():
