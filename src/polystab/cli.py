@@ -283,14 +283,9 @@ def _cmd_verify(args) -> int:
     else:
         reports = [verify.run_suite(args.suite, cache)]
     ok = all(r.passed for r in reports)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify",
-        "parameters": {"suite": args.suite},
-        "result": {"passed": ok, "suites": [r.to_payload() for r in reports]},
-        "exactness_bound": "complete",
-        "notes": [],
-    }
+    payload = _report(
+        "verify", {"suite": args.suite}, {"passed": ok, "suites": [r.to_payload() for r in reports]}, "complete"
+    )
     lines = []
     for r in reports:
         lines.extend(r.lines())

@@ -13,6 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+# Dense Smith normal form refuses once an entry outgrows this many bits: the
+# k <= 9 cell complexes peak near 11,700, while at k = 10 (sign) the entries
+# pass it within a second on their way past 500,000.
+SNF_MAX_BITS = 16384
+
 
 class IntMatrix:
     """A rows x cols matrix of exact integers."""
@@ -127,6 +132,10 @@ def _clear_pivot_cross(a: list[list[int]], t: int, rows: int, cols: int) -> None
                 if q:
                     piv_row = a[t]
                     a[i] = [x - q * y for x, y in zip(a[i], piv_row)]
+                    # only row operations grow entries: column operations reduce row t mod the pivot
+                    if max(a[i]).bit_length() > SNF_MAX_BITS or min(a[i]).bit_length() > SNF_MAX_BITS:
+                        raise ValueError(f"Smith normal form refused: an entry exceeds the budget of "
+                                         f"{SNF_MAX_BITS} bits")
                 if a[i][t]:
                     a[t], a[i] = a[i], a[t]
                     swapped = True
@@ -155,7 +164,8 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
 
     Pivots are chosen with minimal absolute value to limit entry growth, and
     each accepted pivot is forced to divide the remaining submatrix so the
-    factors come out in divisibility order.
+    factors come out in divisibility order.  Raises ``ValueError`` once an
+    entry exceeds :data:`SNF_MAX_BITS` bits.
     """
     a = [row[:] for row in m.entries]
     rows, cols = m.rows, m.cols

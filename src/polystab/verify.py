@@ -2,10 +2,10 @@
 
 Every check is exact (no tolerances).  Each suite returns a report listing the
 individual checks with parameters and timing; the CLI maps any failure to
-exit status 2.  The ``cells``, ``series``, ``stability``, ``e1`` and ``limit``
-suites compare against :func:`loop_space_series`, the classical closed form of
-the homology of the double loop space graded by weight, which shares no code
-with the cell model.
+exit status 2.  The ``cells``, ``series``, ``e1`` and ``limit`` suites compare
+against :func:`loop_space_series`, F. Cohen's closed form graded by weight,
+which shares no code with the cell model.  It covers both coefficient
+systems: ``cells`` checks every integral table, trivial and sign, against it.
 """
 
 from __future__ import annotations
@@ -69,12 +69,12 @@ class _Recorder:
 
 
 def suite_splitting(cache: HomologyCache | None = None) -> SuiteReport:
-    """Assembled tables for (d, 1, 2) equal direct homology of d points, d = 2..8."""
+    """Assembled tables for (d, 1, 2) equal direct homology of d points, d = 2..12."""
     rec = _Recorder("splitting")
-    for d in range(2, 9):
+    for d in range(2, 13):
         t0 = time.perf_counter()
-        left = spaces.poly_homology(d, 1, 2, Z, cache=cache).groups
-        right = braid.config_homology(d, braid.TRIVIAL, Z, cache=cache)
+        left = spaces.poly_homology(d, 1, 2, Z, k_max=12, cache=cache).groups
+        right = braid.config_homology(d, braid.TRIVIAL, Z, k_max=12, cache=cache)
         rec.check(
             f"d{d}",
             left == right,
@@ -152,12 +152,9 @@ def suite_jet(cache: HomologyCache | None = None) -> SuiteReport:
 
 
 def suite_cells(cache: HomologyCache | None = None) -> SuiteReport:
-    """Cell-model soundness for k <= 9, both coefficient systems."""
+    """Cell-model soundness for k <= 9: the dense d.d = 0 check, and every table
+    of both coefficient systems against the closed form in weight k."""
     rec = _Recorder("cells")
-    from .abelian import AbelianGroup
-
-    z = AbelianGroup(1)
-    z2 = AbelianGroup(0, (2,))
     for k in range(1, 10):
         t0 = time.perf_counter()
         ok = True
@@ -172,59 +169,52 @@ def suite_cells(cache: HomologyCache | None = None) -> SuiteReport:
         rec.check(f"boundary_squared_k{k}", ok, "; ".join(notes) or "d.d = 0", t0)
 
         # universal coefficients against weight k over Q and F_p, p <= k: with
-        # exponent-p torsion and no prime > k, that fixes the integral table
-        t0 = time.perf_counter()
-        table = braid.dk_homology(k, Z, cache=cache)
-        ok = all(
-            [table.dim_mod(j, p) if p else table.free_rank(j) for j in range(2 * k + 1)]
-            == loop_space_series(2, p, 2 * k)[k]
-            for p in [0] + [p for p in range(2, k + 1) if is_prime(p)]
-        )
-        rec.check(f"closed_form_k{k}", ok, f"D_{k}: {table.describe()}", t0)
-
-        t0 = time.perf_counter()
-        triv = braid.config_homology(k, braid.TRIVIAL, Z, cache=cache)
-        sign = braid.config_homology(k, braid.SIGN, Z, cache=cache)
-        checks = [triv.group(0) == z]
-        if k >= 2:
-            checks.append(triv.group(1) == z)
-            checks.append(sign.group(0) == z2)
-            top_t = triv.top_degree()
-            top_s = sign.top_degree()
-            checks.append(top_t is not None and top_t < k)
-            checks.append(top_s is None or top_s < k)
-            rational = braid.config_homology(k, braid.SIGN, Q, cache=cache)
-            checks.append(rational.is_zero)
-        rec.check(
-            f"low_degrees_k{k}",
-            all(checks),
-            f"trivial: {triv.describe()}; sign: {sign.describe()}",
-            t0,
-        )
+        # exponent-p torsion and no prime > k, that fixes the integral table;
+        # the rational route must give the p = 0 row itself
+        for system in (braid.TRIVIAL, braid.SIGN):
+            t0 = time.perf_counter()
+            shift = k if system == braid.SIGN else 0
+            table = braid.config_homology(k, system, Z, cache=cache)
+            rational = braid.config_homology(k, system, Q, cache=cache)
+            want = {p: loop_space_series(2, p, shift + k, system)[k][shift:]
+                    for p in [0] + [p for p in range(2, k + 1) if is_prime(p)]}
+            ok = rational.dims(k) == want[0] and all(
+                [table.dim_mod(j, p) if p else table.free_rank(j) for j in range(k + 1)] == row
+                for p, row in want.items()
+            )
+            rec.check(f"closed_form_{system}_k{k}", ok, table.describe(), t0)
     return rec.report
 
 
-def loop_space_series(N: int, p: int, through: int) -> list[list[int]]:
-    """Dimensions of the homology of the double loop space of S^{2N-1} over F_p
-    (Q for p = 0), graded by weight, through degree ``through``.
+def loop_space_series(N: int, p: int, through: int, system: str = braid.SIGN) -> list[list[int]]:
+    """F. Cohen's closed form for H_*(Omega^2 Sigma^2 S^q; F_p) (Q for p = 0),
+    graded by weight, through degree ``through`` (Cohen-Lada-May, LNM 533, III).
 
-    Row w, degree j is dim H_j of the stable summand of weight w, which is
-    H_{j-(2N-3)w}(C_w; sign x F_p); the Poincare series is the column sum.
-    F. Cohen's closed form (Cohen-Lada-May, LNM 533, III): over F_2 the
-    homology is polynomial on generators of degree 2^j(2N-2) - 1 and weight
-    2^j, j >= 0; over odd p it is exterior on degrees 2(N-1)p^j - 1, j >= 0,
-    tensor polynomial on degrees 2(N-1)p^j - 2, j >= 1, each of weight p^j;
-    over Q it is exterior on one generator of degree 2N-3 and weight 1.
+    For the sign system q = 2N - 3, and this is the double loop space of
+    S^{2N-1}: row w, degree j is H_{j-qw}(C_w; sign x F_p), and the Poincare
+    series is the column sum.  Over F_2 it is polynomial on generators of
+    degree 2^j(q+1) - 1 and weight 2^j, j >= 0; over odd p, exterior on degrees
+    (q+1)p^j - 1, j >= 0, tensor polynomial on degrees (q+1)p^j - 2, j >= 1,
+    each of weight p^j; over Q, exterior on one generator of degree q, weight 1.
+
+    For the trivial system q = 0 and ``N`` plays no part: row w, degree j is
+    H_j(C_w; F_p), the homology of the braid group on w strands (Fuks 1970 for
+    F_2), given for every weight w <= ``through``.  Over F_2 the generators are
+    as above; otherwise there is a polynomial generator of degree 0 and weight
+    1, times the odd-q form for 2q + 1 = 1 with every weight doubled.
 
     >>> loop_space_series(2, 2, 3)
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]]
+    >>> loop_space_series(2, 3, 3, braid.TRIVIAL)[3]
+    [1, 1, 0, 0]
     """
     if N < 2:
         raise ValueError("need N >= 2")
     if p and not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    # a class of weight w has degree >= (2N-3)w
-    rows = [[0] * (through + 1) for _ in range(through // (2 * N - 3) + 1)]
+    q = 2 * N - 3 if system == braid.SIGN else 0
+    # a class of weight w has degree >= qw; a trivial one below w once w >= 2
+    rows = [[0] * (through + 1) for _ in range(through // max(q, 1) + 1)]
     rows[0][0] = 1
 
     def times(degree: int, weight: int, exterior: bool) -> None:
@@ -233,13 +223,17 @@ def loop_space_series(N: int, p: int, through: int) -> list[list[int]]:
         for w, j in reversed(cells) if exterior else cells:
             rows[w][j] += rows[w - weight][j - degree]
 
+    scale = 1
+    if q == 0 and p != 2:
+        times(0, 1, exterior=False)
+        q, scale = 1, 2
     if p == 0:
-        times(2 * N - 3, 1, exterior=True)
+        times(q, scale, exterior=True)
         return rows
-    top, weight = 2 * (N - 1), 1  # 2(N-1)p^j, p^j
+    top, weight = q + 1, scale  # (q+1)p^j, scale p^j
     while top - 2 <= through:
         times(top - 1, weight, exterior=p != 2)
-        if p != 2 and weight > 1:
+        if p != 2 and weight > scale:
             times(top - 2, weight, exterior=False)
         top, weight = top * p, weight * p
     return rows
@@ -272,21 +266,6 @@ def suite_series(cache: HomologyCache | None = None) -> SuiteReport:
     return rec.report
 
 
-def suite_stability(cache: HomologyCache | None = None) -> SuiteReport:
-    """Tuple-space tables through the stability dimension D equal the closed-form
-    limit series over F2, F3 and Q, for (m, n) in {(2, 2), (1, 3)} and d <= 9."""
-    rec = _Recorder("stability")
-    for m, n in [(2, 2), (1, 3)]:
-        for d in range(1, 10):
-            bound = spaces.stability_dimension(d, m, n)
-            for ring in (GF(2), GF(3), Q):
-                t0 = time.perf_counter()
-                got = spaces.poly_homology(d, m, n, ring, cache=cache).dims(bound)
-                want = list(map(sum, zip(*loop_space_series(m * n, ring.p or 0, bound))))
-                rec.check(f"range_m{m}_n{n}_d{d}_{ring}", got == want, f"D={bound} got={got} want={want}", t0)
-    return rec.report
-
-
 def suite_d2(cache: HomologyCache | None = None) -> SuiteReport:
     """The second stable summand has one Z/2, in degree 2."""
     rec = _Recorder("d2")
@@ -316,23 +295,24 @@ def suite_e1(cache: HomologyCache | None = None) -> SuiteReport:
 
 
 def suite_limit(cache: HomologyCache | None = None) -> SuiteReport:
-    """Through the stability dimension D the mod-p tuple-space tables equal the
-    closed-form series of the double loop space of S^{2mn-1}, and over F_2 the
-    bound is sharp: in degree D+1 the table falls short of the series.
+    """Through the stability dimension D the tuple-space tables over F2, F3, F5
+    and Q equal the closed-form series of the double loop space of S^{2mn-1},
+    and over F_2 the bound is sharp: in degree D+1 the table falls short of it.
 
+    The samples are d <= 9 for (m, n) in {(2, 2), (1, 3)}, and three more pairs.
     Sharpness: the limit's summand floor(d/n)+1, which the table lacks, has a
     nonzero H_0(C_k; sign (x) F_2), and its shift puts that class in degree D+1.
     """
     rec = _Recorder("limit")
-    samples = [(4, 1, 2), (2, 2, 2), (1, 2, 2), (6, 2, 2), (9, 1, 3), (5, 3, 2), (7, 2, 3)]
-    for d, m, n in samples:
+    grid = [(d, m, n) for m, n in [(2, 2), (1, 3)] for d in range(1, 10)]
+    for d, m, n in grid + [(4, 1, 2), (5, 3, 2), (7, 2, 3)]:
         bound = spaces.stability_dimension(d, m, n)
-        for p in (2, 3, 5):
+        for ring in (GF(2), GF(3), GF(5), Q):
             t0 = time.perf_counter()
-            got = spaces.poly_homology(d, m, n, GF(p), cache=cache).dims(bound)
-            want = list(map(sum, zip(*loop_space_series(m * n, p, bound))))
+            got = spaces.poly_homology(d, m, n, ring, cache=cache).dims(bound)
+            want = list(map(sum, zip(*loop_space_series(m * n, ring.p or 0, bound))))
             rec.check(
-                f"d{d}_m{m}_n{n}_F{p}",
+                f"d{d}_m{m}_n{n}_{ring}",
                 got == want,
                 f"D={bound} got={got} want={want}",
                 t0,
@@ -356,7 +336,6 @@ SUITES = {
     "jet": suite_jet,
     "cells": suite_cells,
     "series": suite_series,
-    "stability": suite_stability,
     "d2": suite_d2,
     "e1": suite_e1,
     "limit": suite_limit,

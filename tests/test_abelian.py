@@ -1,14 +1,6 @@
-import doctest
-
 import pytest
 
-import polystab.abelian
 from polystab.abelian import AbelianGroup, GradedAbelianGroup, invariant_factors
-
-
-def test_doctests():
-    failures, _ = doctest.testmod(polystab.abelian)
-    assert failures == 0
 
 
 def test_invariant_factors_normalization():

@@ -25,9 +25,9 @@ def _run(number, label, suite_name, budget_seconds):
 
 
 def test_criterion_01_splitting_vs_direct():
-    # assembled tables for (d, 1, 2) equal direct configuration homology, d <= 8
+    # assembled tables for (d, 1, 2) equal direct configuration homology, d <= 12
     report = _run(1, "splitting vs direct", "splitting", 60)
-    assert len(report.results) == 7  # d = 2..8
+    assert len(report.results) == 11  # d = 2..12
 
 
 def test_criterion_02_sphere_and_point_cases():
@@ -53,7 +53,12 @@ def test_criterion_06_classical_limit_series():
 
 
 def test_criterion_07_stability_plateau_and_range():
-    _run(7, "stable range vs closed-form limit series", "stability", 60)
+    # tables through D equal the closed-form limit series over F2, F3 and Q,
+    # for (m, n) in {(2, 2), (1, 3)} and every d <= 9
+    report = _run(7, "stable range vs closed-form limit series", "limit", 60)
+    grid = [(d, m, n) for m, n in [(2, 2), (1, 3)] for d in range(1, 10)]
+    want = {f"d{d}_m{m}_n{n}_{ring}" for d, m, n in grid for ring in ("F2", "F3", "Q")}
+    assert want <= {r.name for r in report.results}
 
 
 def test_criterion_08_d2_fixture():
@@ -65,6 +70,10 @@ def test_criterion_09_e1_bookkeeping():
 
 
 def test_criterion_10_limit_closed_form():
-    # mod-p tuple-space tables equal the closed-form limit series through D
+    # mod-p tuple-space tables equal the closed-form limit series through D,
+    # and over F2 the bound is sharp, on seven samples
     report = _run(10, "tables vs closed-form limit series", "limit", 10)
-    assert len(report.results) == 7 * 4  # seven samples, F2/F3/F5 and F2 sharpness
+    samples = [(4, 1, 2), (2, 2, 2), (1, 2, 2), (6, 2, 2), (9, 1, 3), (5, 3, 2), (7, 2, 3)]
+    want = {f"d{d}_m{m}_n{n}_F{p}" for d, m, n in samples for p in (2, 3, 5)}
+    want |= {f"sharp_d{d}_m{m}_n{n}_F2" for d, m, n in samples}
+    assert want <= {r.name for r in report.results}

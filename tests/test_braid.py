@@ -1,10 +1,11 @@
 import random
+import time
 from itertools import combinations
 from math import comb
 
 import pytest
 
-from polystab import braid
+from polystab import braid, linalg
 from polystab.abelian import AbelianGroup, GradedAbelianGroup
 from polystab.braid import (
     SIGN,
@@ -259,6 +260,20 @@ def test_integral_tables_match_the_smith_oracle():
             assert config_homology(k, system, Z) == oracle, (k, system)
 
 
+def test_smith_oracle_refuses_past_its_bit_budget():
+    # at k = 10 (sign) the dense entries grow past 500,000 bits; the budget stops that early
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=f"budget of {linalg.SNF_MAX_BITS} bits"):
+        complex_homology(dual_fn_complex(10, SIGN), Z)
+    assert time.perf_counter() - started < 5
+
+
+@pytest.fixture(scope="module")
+def tables(tmp_path_factory):
+    # one cache for the integral k <= 14 tests, so each table is built once
+    return HomologyCache(tmp_path_factory.mktemp("tables"))
+
+
 def test_failed_local_certificate_is_refused(monkeypatch):
     # a pretended p^2 divisor: a + b falls short of the rank over Q
     monkeypatch.setattr(braid, "p_local_ranks", lambda rows, p: (0, 0))
@@ -266,12 +281,12 @@ def test_failed_local_certificate_is_refused(monkeypatch):
         config_homology(4, SIGN, Z)
 
 
-def test_local_certificate_holds_through_k14():
+def test_local_certificate_holds_through_k14(tables):
     # past the Smith oracle: every prime p <= k certifies, and the integral
     # table agrees with the independently eliminated field tables
     for k in range(11, 15):
         for system in (TRIVIAL, SIGN):
-            integral = config_homology(k, system, Z, k_max=14)
+            integral = config_homology(k, system, Z, k_max=14, cache=tables)
             for p in (2, 3, 5, 7, 11, 13):
                 direct = config_homology(k, system, GF(p), k_max=14)
                 assert direct.dims(k) == [integral.dim_mod(i, p) for i in range(k + 1)], (k, system, p)
@@ -288,15 +303,26 @@ def test_sign_tables_match_the_closed_form_by_weight():
             assert got.dims(k) == rows[k][k : 2 * k + 1], (k, p)
 
 
-def test_integral_sign_tables_match_the_closed_form_through_k14():
+def test_trivial_tables_match_the_closed_form_by_weight():
+    # H_i(C_k; F_p), the braid group's homology, is weight k, degree i at q = 0
+    for p in (2, 3, 5, 7, 0):
+        rows = loop_space_series(2, p, 14, TRIVIAL)
+        for k in range(1, 15):
+            got = config_homology(k, TRIVIAL, GF(p) if p else Q, k_max=14)
+            assert got.dims(k) == rows[k][: k + 1], (k, p)
+
+
+@pytest.mark.parametrize("system", [SIGN, TRIVIAL])
+def test_integral_tables_match_the_closed_form_through_k14(system, tables):
     # universal coefficients against weight k over Q and each F_p, p <= k; with
     # exponent-p torsion and no prime above k this fixes the integral table
     for k in range(1, 15):
-        table = dk_homology(k, Z, k_max=14)
+        shift = k if system == SIGN else 0
+        table = config_homology(k, system, Z, k_max=14, cache=tables)
         for p in (0, 2, 3, 5, 7, 11, 13):
             if p <= k:
-                got = [table.dim_mod(j, p) if p else table.free_rank(j) for j in range(2 * k + 1)]
-                assert got == loop_space_series(2, p, 2 * k)[k], (k, p)
+                got = [table.dim_mod(j, p) if p else table.free_rank(j) for j in range(k + 1)]
+                assert got == loop_space_series(2, p, shift + k, system)[k][shift:], (k, system, p)
 
 
 def test_fox_oracle_matches_cell_model_for_three_strands():

@@ -250,6 +250,20 @@ def test_failed_self_check_exits_two(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_planted_shuffle_fault_fails_verify_cells(tmp_path, capsys, monkeypatch):
+    # doubling the signed shuffle sums with a + b >= 9 keeps d.d = 0 through
+    # k = 10 but adds a Z/2 to H_7(C_9); the trivial closed form sees it
+    real = braid.shuffle_sum
+
+    def planted(a, b, signed):
+        return real(a, b, signed) * (2 if signed and a + b >= 9 else 1)
+
+    monkeypatch.setattr(braid, "shuffle_sum", planted)
+    code, out, _ = run(capsys, "verify", "cells", "--cache-dir", str(tmp_path))
+    assert code == 2
+    assert "FAIL cells.closed_form_trivial_k9" in out
+
+
 def test_verify_all_passes(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "all", "--cache-dir", str(tmp_path))
     assert code == 0

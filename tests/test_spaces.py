@@ -54,12 +54,6 @@ def test_poly_homology_squarefree_case_matches_direct():
     assert table.groups == config_homology(4, TRIVIAL, Z)
 
 
-def test_splitting_identity_up_to_default_bound():
-    # d <= 8 is covered by the acceptance suite; this rounds out the range
-    for d in (9, 10):
-        assert poly_homology(d, 1, 2, Z).groups == config_homology(d, TRIVIAL, Z)
-
-
 def test_poly_depends_only_on_floor():
     for ring in (Z, GF(2)):
         assert poly_homology(4, 1, 2, ring).groups == poly_homology(5, 1, 2, ring).groups
