@@ -176,28 +176,29 @@ def _dual_boundary_rows(k: int, system: str, i: int) -> list[list[tuple[int, int
 def _homology(k: int, system: str, ring: Ring, through: int | None) -> GradedAbelianGroup:
     """H_i(C_k; system x ring) for i up to ``through`` (defaults to all), one degree's rows at a time.
 
-    Degree i has comb(k-1, i) - r_i - r_(i+1) free generators, r_i the rank of d_i over the
-    field (over Q for Z).  Over Z, degree i-1 also has b copies of Z/p for each prime p <= k,
-    where d_i has a + b divisors of p-adic valuation 0 or 1 (:func:`p_local_ranks`); if a + b
-    is not the rank over Q, p^2 divides a divisor, against F. Cohen's exponent-p theorem
-    (Cohen-Lada-May, LNM 533, III), and :class:`CellModelError` is raised.
+    A ring is a list of moduli, each giving d_i one rank: Q is [0], F_p is [p], Z is [0] and every
+    prime p <= k.  Degree i has comb(k-1, i) - r_i - r_(i+1) free generators, r_i the rank over the
+    first modulus.  Over Z, degree i-1 has r_Q - r_p copies of Z/p by universal coefficients, once
+    :func:`p_local_ranks` certifies them: if its a + b is not r_Q, p^2 divides a divisor, against
+    F. Cohen's exponent-p theorem (Cohen-Lada-May, LNM 533, III), and :class:`CellModelError` is
+    raised.  Where r_p = r_Q no divisor is divisible by p, so there is nothing to certify.
 
     No prime q > k divides a divisor: F(C, k) -> C_k is a k!-sheeted cover that makes the
     system trivial, and transfer then projection is multiplication by k!, so H_*(C_k; L x
     Z[1/k!]) is a summand of the free H_*(F(C, k); Z[1/k!]) (Arnold).
     """
     hi = k - 1 if through is None else min(through, k - 1)
-    primes = [p for p in range(2, k + 1) if is_prime(p)] if ring == Z else []
+    moduli = [0, *(p for p in range(2, k + 1) if is_prime(p))] if ring == Z else [ring.p or 0]
     ranks, torsion = {}, {i: [] for i in range(k)}
     for i in range(1, min(hi + 1, k - 1) + 1):
         rows = _dual_boundary_rows(k, system, i)
-        ranks[i] = rank_mod_p_rows(rows, ring.p) if ring.p else rank_int_rows(rows)
-        for p in primes:
-            units, by_p = p_local_ranks(rows, p)
-            if units + by_p != ranks[i]:
+        r = [rank_mod_p_rows(rows, m) if m else rank_int_rows(rows) for m in moduli]
+        ranks[i] = r[0]
+        for p, r_p in zip(moduli[1:], r[1:]):
+            if r_p < r[0] and sum(p_local_ranks(rows, p)) != r[0]:
                 raise CellModelError(f"integral homology of C_{k} ({system} system) in degree {i - 1}: "
                                      f"an elementary divisor is divisible by {p}^2; no table is given")
-            torsion[i - 1] += [p] * by_p
+            torsion[i - 1] += [p] * (r[0] - r_p)
         del rows
     return GradedAbelianGroup({
         i: AbelianGroup.from_orders(comb(k - 1, i) - ranks.get(i, 0) - ranks.get(i + 1, 0), torsion[i])

@@ -250,11 +250,10 @@ def _cmd_jet(args) -> int:
             continue
         t = parse_tuple_line(raw, args.n)
         report = jets.jet_equivalence_check(t)
-        jet = jets.jet_map(t)
         results.append(
             {
                 "tuple": [_format_qpoly(f) for f in t.entries],
-                "jet": [_format_qpoly(f) for f in jet],
+                "jet": [_format_qpoly(f) for f in report.jet],
                 "poly_member": report.poly_member,
                 "jet_hol_member": report.jet_hol_member,
                 "agree": report.agree,

@@ -92,6 +92,7 @@ def q_membership_hol(polys) -> bool:
 class JetEquivalenceReport:
     poly_member: bool
     jet_hol_member: bool
+    jet: tuple[Poly, ...]
 
     @property
     def agree(self) -> bool:
@@ -99,8 +100,9 @@ class JetEquivalenceReport:
 
 
 def jet_equivalence_check(t: QTuple) -> JetEquivalenceReport:
-    """Membership on both sides of the jet, plus the agreement flag."""
-    return JetEquivalenceReport(q_membership_poly(t), q_membership_hol(jet_map(t)))
+    """Membership on both sides of the jet, the agreement flag, and the jet itself."""
+    jet = tuple(jet_map(t))
+    return JetEquivalenceReport(q_membership_poly(t), q_membership_hol(jet), jet)
 
 
 def random_qtuple(

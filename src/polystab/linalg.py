@@ -5,7 +5,8 @@ dense (every entry addressable) and feeds Smith normal form.  Ranks over Q and
 every F_p, F_2 included, come from one sparse kernel, :func:`eliminate`, which
 takes rows as lists of ``(column, value)`` pairs; ``IntMatrix.sparse_rows``
 converts a dense matrix, and sparse builders pass their rows straight in.
-Integral tables use :func:`p_local_ranks` in place of Smith normal form, now the dense oracle.
+Integral tables take their torsion from those ranks, and :func:`p_local_ranks` certifies
+it; Smith normal form is the dense oracle.
 """
 
 from __future__ import annotations
@@ -38,13 +39,6 @@ class IntMatrix:
         self.rows = rows
         self.cols = cols
         self.entries = entries
-
-    @classmethod
-    def from_rows(cls, entries: list[list[int]], cols: int | None = None) -> "IntMatrix":
-        rows = len(entries)
-        if cols is None:
-            cols = len(entries[0]) if entries else 0
-        return cls(rows, cols, [list(r) for r in entries])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
@@ -261,11 +255,12 @@ def eliminate(rows: list[list[tuple[int, int]]], modulus: int) -> int:
 def p_local_ranks(rows: list[list[tuple[int, int]]], p: int) -> tuple[int, int]:
     """Numbers (a, b) of elementary divisors of sparse integer rows with p-adic valuation 0 and 1.
 
-    Rows are reduced mod p^2 by unit pivots only (a row's lead is its smallest column holding
-    an entry prime to p), so a is the F_p rank; a row left with no unit entry is p T.  The
-    Schur complement of the unit block is p times the T rows reduced by the pivots, so b is
-    the F_p rank of pivots and T rows together, minus a.  a + b falls short of the rank over
-    Q iff p^2 divides a divisor (Dumas-Saunders-Villard, J. Symb. Comput. 32, 2001).
+    This is a certificate, not a rank engine: a + b falls short of the rank over Q iff p^2
+    divides a divisor (Dumas-Saunders-Villard, J. Symb. Comput. 32, 2001), so it only needs to
+    run where the F_p rank is below the Q rank.  Rows are reduced mod p^2 by unit pivots only
+    (a row's lead is its smallest column holding an entry prime to p), so a is the F_p rank; a
+    row left with no unit entry is p T.  The Schur complement of the unit block is p times the
+    T rows reduced by the pivots, so b is the F_p rank of pivots and T rows together, minus a.
     """
     q = p * p
     pivots: dict[int, dict[int, int]] = {}

@@ -134,22 +134,6 @@ class Poly:
         # a^(1/p) = a on F_p, so just drop to every p-th coefficient
         return _poly(p, list(self.coeffs[::p]))
 
-    def shift_variable(self, c) -> "Poly":
-        """The substitution z -> z + c."""
-        c = self._scalar(c)
-        out: list = []
-        for coeff in reversed(self.coeffs):
-            # Horner step: out <- out * (z + c) + coeff
-            out = [c * a + b for a, b in zip(out + [0], [coeff] + out)]
-        return _poly(self.p, out)
-
-    def scale_variable(self, lam) -> "Poly":
-        """The substitution z -> lam*z, renormalized to monic."""
-        lam = self._scalar(lam)
-        if not lam:
-            raise ValueError("scale factor must be nonzero")
-        return _poly(self.p, [c * lam**i for i, c in enumerate(self.coeffs)]).monic()
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented

@@ -236,13 +236,18 @@ def _fox_derivative_value(word, gen, images):
     return value
 
 
+def _matrix(entries, cols=None):
+    """Dense IntMatrix from a list of rows."""
+    return IntMatrix(len(entries), len(entries[0]) if cols is None else cols, [list(r) for r in entries])
+
+
 def _presentation_homology(generators, relators, images):
     """Homology of the presentation 2-complex with the +-1 coefficient system."""
-    d1 = IntMatrix.from_rows([[images[g] - 1 for g in generators]], len(generators))
+    d1 = _matrix([[images[g] - 1 for g in generators]], len(generators))
     cols = []
     for rel in relators:
         cols.append([_fox_derivative_value(rel, g, images) for g in generators])
-    d2 = IntMatrix.from_rows(
+    d2 = _matrix(
         [[col[i] for col in cols] for i in range(len(generators))], len(relators)
     )
     counts = {0: 1, 1: len(generators), 2: len(relators)}
@@ -279,6 +284,26 @@ def test_failed_local_certificate_is_refused(monkeypatch):
     monkeypatch.setattr(braid, "p_local_ranks", lambda rows, p: (0, 0))
     with pytest.raises(CellModelError, match=r"C_4 \(sign system\) in degree 0: .* divisible by 2\^2"):
         config_homology(4, SIGN, Z)
+
+
+def test_local_certificate_runs_only_where_there_is_torsion(monkeypatch):
+    # r_p = r_Q leaves no divisor divisible by p; one call per (degree, p) with p-torsion
+    calls = []
+    real = braid.p_local_ranks
+    monkeypatch.setattr(braid, "p_local_ranks", lambda rows, p: calls.append(p) or real(rows, p))
+    table = config_homology(9, SIGN, Z)
+    pairs = [(i, p) for i in table.degrees() for p in (2, 3, 5, 7) if table.group(i).p_torsion_count(p)]
+    assert len(calls) == len(pairs) == 7
+
+
+@pytest.mark.parametrize("system", [TRIVIAL, SIGN])
+def test_planted_p_squared_divisor_is_refused(monkeypatch, system):
+    # nine times every degree-2 row: the F_3 rank drops to 0 and no divisor has 3-valuation 0 or 1
+    real = braid._dual_boundary_rows
+    monkeypatch.setattr(braid, "_dual_boundary_rows", lambda k, system, i: [
+        [(key, 9 * v if i == 2 else v) for key, v in row] for row in real(k, system, i)])
+    with pytest.raises(CellModelError, match=r"divisible by 3\^2"):
+        config_homology(4, system, Z)
 
 
 def test_local_certificate_holds_through_k14(tables):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from polystab import braid, cli, complexes, linalg, spaces, verify
+from polystab import braid, cli, complexes, jets, linalg, spaces, verify
 from polystab.abelian import GradedAbelianGroup
 from polystab.rings import GF, MILLER_RABIN_BOUND, Q
 
@@ -151,6 +151,20 @@ def test_jet_subcommand(tmp_path, capsys):
     assert tuples[0]["jet"] == [["0", "0", "1"], ["0", "2", "1"]]
 
 
+def test_jet_subcommand_builds_each_jet_once(tmp_path, capsys, monkeypatch):
+    # the printed jet is the one the membership check built
+    calls = []
+    real = jets.jet_map
+    monkeypatch.setattr(jets, "jet_map", lambda t: calls.append(t) or real(t))
+    source = tmp_path / "tuples.txt"
+    source.write_text("0,0,1\n-1,0,1\n0,1;1,1\n")
+    code, out, _ = run(capsys, "jet", "--n", "2", "--input", str(source), "--json")
+    assert code == 0
+    tuples = json.loads(out)["result"]["tuples"]
+    assert len(calls) == 3
+    assert [t["jet"] for t in tuples] == [[cli._format_qpoly(f) for f in real(t)] for t in calls]
+
+
 def test_jet_rational_coefficients(tmp_path, capsys):
     source = tmp_path / "tuples.txt"
     source.write_text("1/9,-2/3,1\n")  # (z - 1/3)^2
@@ -250,18 +264,34 @@ def test_failed_self_check_exits_two(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_planted_shuffle_fault_fails_verify_cells(tmp_path, capsys, monkeypatch):
+@pytest.fixture
+def planted_shuffle_fault(monkeypatch):
     # doubling the signed shuffle sums with a + b >= 9 keeps d.d = 0 through
-    # k = 10 but adds a Z/2 to H_7(C_9); the trivial closed form sees it
+    # k = 10 but adds a Z/2 to H_7(C_9); the trivial closed form sees it, and
+    # the self-check refuses k = 11
     real = braid.shuffle_sum
 
     def planted(a, b, signed):
         return real(a, b, signed) * (2 if signed and a + b >= 9 else 1)
 
     monkeypatch.setattr(braid, "shuffle_sum", planted)
+
+
+def test_planted_shuffle_fault_fails_verify_cells(tmp_path, capsys, planted_shuffle_fault):
     code, out, _ = run(capsys, "verify", "cells", "--cache-dir", str(tmp_path))
     assert code == 2
     assert "FAIL cells.closed_form_trivial_k9" in out
+
+
+def test_verify_all_reports_every_suite_past_a_refusal(tmp_path, capsys, planted_shuffle_fault):
+    code, out, err = run(capsys, "verify", "all", "--cache-dir", str(tmp_path))
+    assert code == 2
+    assert "FAIL cells.closed_form_trivial_k9" in out
+    assert "FAIL splitting.CellModelError" in out and "self-check failed" in out
+    lines = out.splitlines()
+    assert lines[-1] == "FAIL verify:all"
+    assert {line.split()[1].split(".")[0] for line in lines[:-1]} == set(verify.SUITES)
+    assert "Traceback" not in err
 
 
 def test_verify_all_passes(tmp_path, capsys):
@@ -358,6 +388,16 @@ def test_failed_local_certificate_exits_two(capsys, monkeypatch):
     code, out, err = run(capsys, "betti", "--d", "8", "--m", "1", "--n", "2", "--json")
     assert code == 2
     assert "divisible by 2^2" in json.loads(out)["error"]["message"]
+    assert "Traceback" not in err
+
+
+def test_planted_p_squared_divisor_exits_two(capsys, monkeypatch):
+    real = braid._dual_boundary_rows
+    monkeypatch.setattr(braid, "_dual_boundary_rows", lambda k, system, i: [
+        [(key, 9 * v if i == 2 else v) for key, v in row] for row in real(k, system, i)])
+    code, out, err = run(capsys, "betti", "--d", "8", "--m", "1", "--n", "2", "--json")
+    assert code == 2
+    assert "divisible by 3^2" in json.loads(out)["error"]["message"]
     assert "Traceback" not in err
 
 

@@ -23,6 +23,14 @@ def P(p, *coeffs):
     return Poly(p, coeffs)
 
 
+def _shift(f, c):
+    """f(z + c) by Horner's rule."""
+    out = Poly(f.p, ())
+    for coeff in reversed(f.coeffs):
+        out = out * Poly(f.p, (c, 1)) + Poly(f.p, (coeff,))
+    return out
+
+
 def test_poly_normalization():
     assert P(3, 1, 2, 0, 0).coeffs == (1, 2)
     assert P(3, 5, -1).coeffs == (2, 2)
@@ -56,8 +64,8 @@ def test_arithmetic_results_skip_the_prime_check(monkeypatch):
     real = polystab.poly.is_prime
     monkeypatch.setattr(polystab.poly, "is_prime", lambda n: calls.append(n) or real(n))
     f = Poly(5, (1, 2, 0, 3, 1))
-    for c in range(20):  # 100 operations
-        g = f.shift_variable(c) * f
+    for c in range(20):  # 120 operations
+        g = (f + f.derivative(c % 4 + 1)) * f
         q, r = divmod(g.derivative(), f)
         assert poly_gcd(q, r).is_monic
     assert calls == [5]
@@ -186,7 +194,7 @@ def test_is_member_translation_invariance():
         t = FpTuple(entries, d, m, n, p)
         base = is_member(t)
         for c in range(p):
-            shifted = FpTuple(tuple(f.shift_variable(c) for f in entries), d, m, n, p)
+            shifted = FpTuple(tuple(_shift(f, c) for f in entries), d, m, n, p)
             assert is_member(shifted) == base
         permuted = FpTuple(tuple(reversed(entries)), d, m, n, p)
         assert is_member(permuted) == base

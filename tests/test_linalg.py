@@ -5,8 +5,8 @@ from math import gcd
 
 import pytest
 
+from polystab import linalg
 from polystab.linalg import (
-    IntMatrix,
     SmithForm,
     eliminate,
     p_local_ranks,
@@ -15,6 +15,14 @@ from polystab.linalg import (
     rank_mod_p_rows,
     smith_normal_form,
 )
+
+
+class IntMatrix(linalg.IntMatrix):
+    """The library matrix plus ``from_rows``, a constructor only these tests use."""
+
+    @classmethod
+    def from_rows(cls, entries, cols=None):
+        return cls(len(entries), len(entries[0]) if cols is None else cols, [list(r) for r in entries])
 
 
 def test_smith_worked_example():
