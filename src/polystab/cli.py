@@ -117,6 +117,8 @@ def _cmd_e1(args) -> int:
         page = spaces.e1_page_poly(args.d, args.m, args.n, ring, k_max=args.k_max, cache=cache)
         params = {"flavor": "poly", "d": args.d, "m": args.m, "n": args.n, "ring": ring.label}
     else:
+        if args.m is not None:
+            raise ValueError("--flavor hol takes no --m")
         page = spaces.e1_page_hol(args.d, args.n, ring, k_max=args.k_max, cache=cache)
         params = {"flavor": "hol", "d": args.d, "n": args.n, "ring": ring.label}
     entries = [
@@ -277,10 +279,8 @@ def _cmd_jet(args) -> int:
 
 def _cmd_verify(args) -> int:
     cache = _resolve_cache(args)
-    if args.suite == "all":
-        reports = verify.run_all(cache)
-    else:
-        reports = [verify.run_suite(args.suite, cache)]
+    names = list(verify.SUITES) if args.suite == "all" else [args.suite]
+    reports = [verify.run_suite(name, cache) for name in names]
     ok = all(r.passed for r in reports)
     payload = _report(
         "verify", {"suite": args.suite}, {"passed": ok, "suites": [r.to_payload() for r in reports]}, "complete"
@@ -336,7 +336,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("e1", help="first page of the discriminant spectral sequence")
     p.add_argument("--flavor", choices=["poly", "hol"], required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--m", type=int)
+    p.add_argument("--m", type=int, help="poly flavor only")
     p.add_argument("--n", type=int, required=True)
     common(p)
     p.set_defaults(func=_cmd_e1)

@@ -18,6 +18,9 @@ from dataclasses import dataclass
 
 from .poly import Poly, poly_gcd
 
+# share of random_tuple_suite's tuples built with a common root of multiplicity n
+DEGENERATE_RATE = 0.35
+
 
 @dataclass(frozen=True)
 class QTuple:
@@ -127,14 +130,13 @@ def random_qtuple(
     return QTuple(entries, d, m, n)
 
 
-def random_tuple_suite(
-    count: int, seed: int = 2024, degenerate_rate: float = 0.35
-) -> list[QTuple]:
-    """Deterministic mixed sample over d <= 6, m <= 3, n <= 3, (m, n) != (1, 1)."""
+def random_tuple_suite(count: int, seed: int = 2024) -> list[QTuple]:
+    """Deterministic mixed sample over d <= 6, m <= 3, n <= 3, (m, n) != (1, 1);
+    a share ``DEGENERATE_RATE`` of the tuples has a planted common root."""
     rng = random.Random(seed)
     tuples = []
     for _ in range(count):
-        degenerate = rng.random() < degenerate_rate
+        degenerate = rng.random() < DEGENERATE_RATE
         while True:
             m = rng.randint(1, 3)
             n = rng.randint(1, 3)

@@ -1,19 +1,26 @@
 """Named verification suites: exact cross-checks runnable from the CLI or tests.
 
-Every check is exact (no tolerances).  Each suite returns a report listing the
-individual checks with parameters and timing; the CLI maps any failure to
-exit status 2.  The ``cells``, ``series``, ``e1`` and ``limit`` suites compare
-against :func:`loop_space_series`, F. Cohen's closed form graded by weight,
-which shares no code with the cell model.  It covers both coefficient
-systems: ``cells`` checks every integral table, trivial and sign, against it.
+Every check is exact (no tolerances).  A suite is a generator: given the cache,
+it yields one ``(name, passed, detail)`` tuple per check and nothing else.
+:func:`run_suite` runs one suite, times each check from the end of the one
+before and builds its :class:`SuiteReport`; when the engine refuses inside a
+suite (``ValueError`` or ``CellModelError``), the report keeps the checks
+already made and ends with one failed check named for the error.  The CLI
+maps any failure to exit status 2.  The ``cells``, ``series``, ``e1`` and
+``limit`` suites compare against :func:`loop_space_series`, F. Cohen's closed
+form graded by weight, which shares no code with the cell model.  It covers
+both coefficient systems: ``cells`` checks every integral table, trivial and
+sign, against it.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from . import braid, ffield, jets, spaces
+from .abelian import AbelianGroup, GradedAbelianGroup
 from .cache import HomologyCache
 from .rings import GF, Q, Z, is_prime
 
@@ -58,74 +65,47 @@ class SuiteReport:
         return out
 
 
-class _Recorder:
-    def __init__(self, suite: str):
-        self.report = SuiteReport(suite)
-
-    def check(self, name: str, passed: bool, detail: str, started: float) -> None:
-        self.report.results.append(
-            CheckResult(name, bool(passed), detail, time.perf_counter() - started)
-        )
+Checks = Iterator[tuple[str, bool, str]]
 
 
-def suite_splitting(cache: HomologyCache | None = None) -> SuiteReport:
+def suite_splitting(cache: HomologyCache | None = None) -> Checks:
     """Assembled tables for (d, 1, 2) equal direct homology of d points, d = 2..12."""
-    rec = _Recorder("splitting")
     for d in range(2, 13):
-        t0 = time.perf_counter()
         left = spaces.poly_homology(d, 1, 2, Z, k_max=12, cache=cache).groups
         right = braid.config_homology(d, braid.TRIVIAL, Z, k_max=12, cache=cache)
-        rec.check(
-            f"d{d}",
-            left == right,
-            f"assembled={left.describe()} direct={right.describe()}",
-            t0,
-        )
-    return rec.report
+        yield f"d{d}", left == right, f"assembled={left.describe()} direct={right.describe()}"
 
 
-def suite_spheres(cache: HomologyCache | None = None) -> SuiteReport:
+def suite_spheres(cache: HomologyCache | None = None) -> Checks:
     """Boundary cases: d = n gives an odd sphere, d < n gives a point."""
-    rec = _Recorder("spheres")
-    from .abelian import AbelianGroup, GradedAbelianGroup
-
     for m, n in [(1, 3), (2, 2), (3, 2), (2, 3)]:
-        t0 = time.perf_counter()
         got = spaces.poly_homology(n, m, n, Z, cache=cache).groups
         top = 2 * m * n - 3
         want = GradedAbelianGroup({0: AbelianGroup(1), top: AbelianGroup(1)})
-        rec.check(f"sphere_m{m}_n{n}", got == want, f"S^{top}: {got.describe()}", t0)
+        yield f"sphere_m{m}_n{n}", got == want, f"S^{top}: {got.describe()}"
     point = GradedAbelianGroup({0: AbelianGroup(1)})
     for d, m, n in [(1, 2, 2), (2, 2, 3), (1, 1, 3), (2, 3, 3)]:
-        t0 = time.perf_counter()
         got = spaces.poly_homology(d, m, n, Z, cache=cache).groups
-        rec.check(f"point_d{d}_m{m}_n{n}", got == point, got.describe(), t0)
-    return rec.report
+        yield f"point_d{d}_m{m}_n{n}", got == point, got.describe()
 
 
-def suite_counts(cache: HomologyCache | None = None) -> SuiteReport:
+def suite_counts(cache: HomologyCache | None = None) -> Checks:
     """Point counts over the p^d first entries equal the closed form on the small grid."""
-    rec = _Recorder("counts")
     for p in (2, 3):
         for d in range(1, 5):
             for m in (1, 2):
                 for n in (1, 2, 3):
-                    t0 = time.perf_counter()
                     brute = ffield.count_points(d, m, n, p)
                     formula = ffield.closed_form_count(d, m, n, p)
-                    rec.check(
+                    yield (
                         f"d{d}_m{m}_n{n}_p{p}",
                         brute == formula,
                         f"brute={brute} formula={formula}",
-                        t0,
                     )
-    return rec.report
 
 
-def suite_jet(cache: HomologyCache | None = None) -> SuiteReport:
+def suite_jet(cache: HomologyCache | None = None) -> Checks:
     """1000 random rational tuples: membership agrees across the jet map."""
-    rec = _Recorder("jet")
-    t0 = time.perf_counter()
     tuples = jets.random_tuple_suite(1000)
     disagreements = 0
     nonmembers = 0
@@ -135,28 +115,14 @@ def suite_jet(cache: HomologyCache | None = None) -> SuiteReport:
             disagreements += 1
         if not report.poly_member:
             nonmembers += 1
-    rec.check(
-        "equivalence",
-        disagreements == 0,
-        f"tuples=1000 disagreements={disagreements}",
-        t0,
-    )
-    t0 = time.perf_counter()
-    rec.check(
-        "false_branch_coverage",
-        nonmembers >= 300,
-        f"non-member tuples={nonmembers} (need >= 300)",
-        t0,
-    )
-    return rec.report
+    yield "equivalence", disagreements == 0, f"tuples=1000 disagreements={disagreements}"
+    yield "false_branch_coverage", nonmembers >= 300, f"non-member tuples={nonmembers} (need >= 300)"
 
 
-def suite_cells(cache: HomologyCache | None = None) -> SuiteReport:
+def suite_cells(cache: HomologyCache | None = None) -> Checks:
     """Cell-model soundness for k <= 9: the dense d.d = 0 check, and every table
     of both coefficient systems against the closed form in weight k."""
-    rec = _Recorder("cells")
     for k in range(1, 10):
-        t0 = time.perf_counter()
         ok = True
         notes = []
         for system in (braid.TRIVIAL, braid.SIGN):
@@ -166,13 +132,12 @@ def suite_cells(cache: HomologyCache | None = None) -> SuiteReport:
             except ValueError as exc:
                 ok = False
                 notes.append(f"{system}: {exc}")
-        rec.check(f"boundary_squared_k{k}", ok, "; ".join(notes) or "d.d = 0", t0)
+        yield f"boundary_squared_k{k}", ok, "; ".join(notes) or "d.d = 0"
 
         # universal coefficients against weight k over Q and F_p, p <= k: with
         # exponent-p torsion and no prime > k, that fixes the integral table;
         # the rational route must give the p = 0 row itself
         for system in (braid.TRIVIAL, braid.SIGN):
-            t0 = time.perf_counter()
             shift = k if system == braid.SIGN else 0
             table = braid.config_homology(k, system, Z, cache=cache)
             rational = braid.config_homology(k, system, Q, cache=cache)
@@ -182,8 +147,7 @@ def suite_cells(cache: HomologyCache | None = None) -> SuiteReport:
                 [table.dim_mod(j, p) if p else table.free_rank(j) for j in range(k + 1)] == row
                 for p, row in want.items()
             )
-            rec.check(f"closed_form_{system}_k{k}", ok, table.describe(), t0)
-    return rec.report
+            yield f"closed_form_{system}_k{k}", ok, table.describe()
 
 
 def loop_space_series(N: int, p: int, through: int, system: str = braid.SIGN) -> list[list[int]]:
@@ -239,62 +203,44 @@ def loop_space_series(N: int, p: int, through: int, system: str = braid.SIGN) ->
     return rows
 
 
-def suite_series(cache: HomologyCache | None = None) -> SuiteReport:
+def suite_series(cache: HomologyCache | None = None) -> Checks:
     """Limit series summed from the cell model equal the closed form: mod 2 for
     the double loop space of S^3 through degree 15, rationally for S^3, S^5, S^7."""
-    rec = _Recorder("series")
-    t0 = time.perf_counter()
     through = 15
     got = spaces.omega_series(2, GF(2), through, k_max=15, cache=cache)
     want = list(map(sum, zip(*loop_space_series(2, 2, through))))
-    rec.check(
-        "mod2_N2",
-        list(got.coefficients) == want,
-        f"got={list(got.coefficients)} want={want}",
-        t0,
-    )
+    yield "mod2_N2", list(got.coefficients) == want, f"got={list(got.coefficients)} want={want}"
     for n_param, through in ((2, 7), (3, 9), (4, 11)):
-        t0 = time.perf_counter()
         series = spaces.omega_series(n_param, Q, through, cache=cache)
         want_q = list(map(sum, zip(*loop_space_series(n_param, 0, through))))
-        rec.check(
+        yield (
             f"rational_N{n_param}",
             list(series.coefficients) == want_q,
             f"got={list(series.coefficients)}",
-            t0,
         )
-    return rec.report
 
 
-def suite_d2(cache: HomologyCache | None = None) -> SuiteReport:
+def suite_d2(cache: HomologyCache | None = None) -> Checks:
     """The second stable summand has one Z/2, in degree 2."""
-    rec = _Recorder("d2")
-    from .abelian import AbelianGroup, GradedAbelianGroup
-
-    t0 = time.perf_counter()
     got = braid.dk_homology(2, Z, cache=cache)
     want = GradedAbelianGroup({2: AbelianGroup(0, (2,))})
-    rec.check("fixture", got == want, got.describe(), t0)
-    return rec.report
+    yield "fixture", got == want, got.describe()
 
 
-def suite_e1(cache: HomologyCache | None = None) -> SuiteReport:
+def suite_e1(cache: HomologyCache | None = None) -> Checks:
     """Every first-page entry (k, s) over F2, F3 and Q equals the closed form in
     weight k, degree s - k, and the page has no other entries."""
-    rec = _Recorder("e1")
     samples = [(2, 1, 2), (4, 1, 2), (2, 2, 2), (6, 2, 2), (6, 1, 3), (4, 2, 3)]
     for d, m, n in samples:
         for ring in (GF(2), GF(3), Q):
-            t0 = time.perf_counter()
             page = spaces.e1_page_poly(d, m, n, ring, cache=cache)
             rows = loop_space_series(m * n, ring.p or 0, page.twist * page.k_top)[: page.k_top + 1]
             want = {(k, j + k): dim for k, row in enumerate(rows) for j, dim in enumerate(row) if dim}
             got = {cell: page.entry(*cell).free_rank for cell in page.nonzero_cells()}
-            rec.check(f"entries_d{d}_m{m}_n{n}_{ring}", got == want, f"cells={len(got)}", t0)
-    return rec.report
+            yield f"entries_d{d}_m{m}_n{n}_{ring}", got == want, f"cells={len(got)}"
 
 
-def suite_limit(cache: HomologyCache | None = None) -> SuiteReport:
+def suite_limit(cache: HomologyCache | None = None) -> Checks:
     """Through the stability dimension D the tuple-space tables over F2, F3, F5
     and Q equal the closed-form series of the double loop space of S^{2mn-1},
     and over F_2 the bound is sharp: in degree D+1 the table falls short of it.
@@ -303,30 +249,20 @@ def suite_limit(cache: HomologyCache | None = None) -> SuiteReport:
     Sharpness: the limit's summand floor(d/n)+1, which the table lacks, has a
     nonzero H_0(C_k; sign (x) F_2), and its shift puts that class in degree D+1.
     """
-    rec = _Recorder("limit")
     grid = [(d, m, n) for m, n in [(2, 2), (1, 3)] for d in range(1, 10)]
     for d, m, n in grid + [(4, 1, 2), (5, 3, 2), (7, 2, 3)]:
         bound = spaces.stability_dimension(d, m, n)
         for ring in (GF(2), GF(3), GF(5), Q):
-            t0 = time.perf_counter()
             got = spaces.poly_homology(d, m, n, ring, cache=cache).dims(bound)
             want = list(map(sum, zip(*loop_space_series(m * n, ring.p or 0, bound))))
-            rec.check(
-                f"d{d}_m{m}_n{n}_{ring}",
-                got == want,
-                f"D={bound} got={got} want={want}",
-                t0,
-            )
-        t0 = time.perf_counter()
+            yield f"d{d}_m{m}_n{n}_{ring}", got == want, f"D={bound} got={got} want={want}"
         table = spaces.poly_homology(d, m, n, GF(2), cache=cache).dims(bound + 1)[bound + 1]
         limit = sum(row[bound + 1] for row in loop_space_series(m * n, 2, bound + 1))
-        rec.check(
+        yield (
             f"sharp_d{d}_m{m}_n{n}_F2",
             table < limit,
             f"degree {bound + 1}: table={table} limit={limit}",
-            t0,
         )
-    return rec.report
 
 
 SUITES = {
@@ -343,17 +279,20 @@ SUITES = {
 
 
 def run_suite(name: str, cache: HomologyCache | None = None) -> SuiteReport:
-    """One suite's report; a refusal inside it becomes one failed check named for the error."""
+    """Run one suite, timing each check from the end of the one before.  A
+    refusal inside it adds one failed check, named for the error, after the
+    checks already made."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}, all")
-    t0 = time.perf_counter()
+    report = SuiteReport(name)
+    started = time.perf_counter()
     try:
-        return SUITES[name](cache)
+        for check, passed, detail in SUITES[name](cache):
+            now = time.perf_counter()
+            report.results.append(CheckResult(check, bool(passed), detail, now - started))
+            started = now
     except (ValueError, braid.CellModelError) as exc:
-        rec = _Recorder(name)
-        rec.check(type(exc).__name__, False, str(exc), t0)
-        return rec.report
-
-
-def run_all(cache: HomologyCache | None = None) -> list[SuiteReport]:
-    return [run_suite(name, cache) for name in SUITES]
+        report.results.append(
+            CheckResult(type(exc).__name__, False, str(exc), time.perf_counter() - started)
+        )
+    return report

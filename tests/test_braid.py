@@ -273,12 +273,6 @@ def test_smith_oracle_refuses_past_its_bit_budget():
     assert time.perf_counter() - started < 5
 
 
-@pytest.fixture(scope="module")
-def tables(tmp_path_factory):
-    # one cache for the integral k <= 14 tests, so each table is built once
-    return HomologyCache(tmp_path_factory.mktemp("tables"))
-
-
 def test_failed_local_certificate_is_refused(monkeypatch):
     # a pretended p^2 divisor: a + b falls short of the rank over Q
     monkeypatch.setattr(braid, "p_local_ranks", lambda rows, p: (0, 0))
@@ -306,19 +300,6 @@ def test_planted_p_squared_divisor_is_refused(monkeypatch, system):
         config_homology(4, system, Z)
 
 
-def test_local_certificate_holds_through_k14(tables):
-    # past the Smith oracle: every prime p <= k certifies, and the integral
-    # table agrees with the independently eliminated field tables
-    for k in range(11, 15):
-        for system in (TRIVIAL, SIGN):
-            integral = config_homology(k, system, Z, k_max=14, cache=tables)
-            for p in (2, 3, 5, 7, 11, 13):
-                direct = config_homology(k, system, GF(p), k_max=14)
-                assert direct.dims(k) == [integral.dim_mod(i, p) for i in range(k + 1)], (k, system, p)
-            rational = config_homology(k, system, Q, k_max=14)
-            assert rational.dims(k) == [integral.free_rank(i) for i in range(k + 1)], (k, system)
-
-
 def test_sign_tables_match_the_closed_form_by_weight():
     # H_i(C_k; sign x F_p) is weight k, degree i + k of the double loop space of S^3
     for p in (2, 3, 5, 7, 0):
@@ -338,12 +319,12 @@ def test_trivial_tables_match_the_closed_form_by_weight():
 
 
 @pytest.mark.parametrize("system", [SIGN, TRIVIAL])
-def test_integral_tables_match_the_closed_form_through_k14(system, tables):
+def test_integral_tables_match_the_closed_form_through_k14(system):
     # universal coefficients against weight k over Q and each F_p, p <= k; with
     # exponent-p torsion and no prime above k this fixes the integral table
     for k in range(1, 15):
         shift = k if system == SIGN else 0
-        table = config_homology(k, system, Z, k_max=14, cache=tables)
+        table = config_homology(k, system, Z, k_max=14)
         for p in (0, 2, 3, 5, 7, 11, 13):
             if p <= k:
                 got = [table.dim_mod(j, p) if p else table.free_rank(j) for j in range(k + 1)]
@@ -393,19 +374,6 @@ def test_field_dims_match_dual_complex_route():
                 via_complex = complex_homology(dual, ring)
                 for i in range(k):
                     assert direct.free_rank(i) == via_complex.free_rank(i)
-
-
-def test_field_dims_match_universal_coefficients():
-    for k in range(1, 10):
-        for system in (TRIVIAL, SIGN):
-            integral = config_homology(k, system, Z)
-            for p in (2, 3, 5, 7):
-                direct = config_homology(k, system, GF(p))
-                for i in range(k):
-                    assert direct.free_rank(i) == integral.dim_mod(i, p)
-            rational = config_homology(k, system, Q)
-            for i in range(k):
-                assert rational.free_rank(i) == integral.free_rank(i)
 
 
 def test_dual_boundary_rows_are_sparse_and_well_formed():

@@ -11,9 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from polystab import braid, cli, complexes, jets, linalg, spaces, verify
+from polystab import braid, cli, complexes, jets, linalg, verify
 from polystab.abelian import GradedAbelianGroup
-from polystab.rings import GF, MILLER_RABIN_BOUND, Q
+from polystab.rings import MILLER_RABIN_BOUND
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -221,6 +221,13 @@ def test_bad_usage_exits_one(capsys):
     assert "error" in err
 
 
+def test_e1_hol_refuses_m(capsys):
+    code, out, err = run(capsys, "e1", "--flavor", "hol", "--d", "2", "--n", "2", "--m", "3")
+    assert code == 1
+    assert "--flavor hol takes no --m" in err
+    assert out == ""
+
+
 def test_unknown_suite_exits_one(capsys):
     code, _, err = run(capsys, "verify", "not-a-suite")
     assert code == 1
@@ -236,9 +243,7 @@ def test_verify_single_suite(tmp_path, capsys):
 
 def test_verify_failure_exits_two(tmp_path, capsys, monkeypatch):
     def failing_suite(cache=None):
-        report = verify.SuiteReport("stub")
-        report.results.append(verify.CheckResult("broken", False, "forced", 0.0))
-        return report
+        yield "broken", False, "forced"
 
     monkeypatch.setitem(verify.SUITES, "stub", failing_suite)
     code, out, _ = run(capsys, "verify", "stub", "--cache-dir", str(tmp_path))
@@ -281,6 +286,16 @@ def test_planted_shuffle_fault_fails_verify_cells(tmp_path, capsys, planted_shuf
     code, out, _ = run(capsys, "verify", "cells", "--cache-dir", str(tmp_path))
     assert code == 2
     assert "FAIL cells.closed_form_trivial_k9" in out
+
+
+def test_refused_suite_keeps_the_checks_before_the_refusal(tmp_path, capsys, planted_shuffle_fault):
+    code, out, _ = run(capsys, "verify", "splitting", "--cache-dir", str(tmp_path))
+    assert code == 2
+    checks = [" ".join(line.split()[:2]) for line in out.splitlines()]
+    assert checks == (
+        [f"PASS splitting.d{d}" for d in range(2, 9)]
+        + ["FAIL splitting.d9", "FAIL splitting.d10", "FAIL splitting.CellModelError", "FAIL verify:splitting"]
+    )
 
 
 def test_verify_all_reports_every_suite_past_a_refusal(tmp_path, capsys, planted_shuffle_fault):
@@ -364,12 +379,13 @@ def test_benchmark_tracer_binds_package_layers(tmp_path):
         assert spans <= names, argv
 
 
-@pytest.mark.parametrize("argv, table", [
-    (("betti", "--d", "20", "--m", "1", "--n", "2"), lambda ring: spaces.poly_homology(20, 1, 2, ring)),
-    (("hol-betti", "--d", "10", "--n", "2"), lambda ring: spaces.hol_homology(10, 2, ring)),
+@pytest.mark.parametrize("argv", [
+    ("betti", "--d", "20", "--m", "1", "--n", "2"),
+    ("hol-betti", "--d", "10", "--n", "2"),
 ])
-def test_integral_k10_tables_finish_and_match_the_fields(tmp_path, argv, table):
-    # both requests sit at the default k_max = 10, where dense Smith normal form hung
+def test_integral_k10_tables_finish_and_match_the_fields(tmp_path, argv):
+    # both requests sit at the default k_max = 10, where dense Smith normal form hung;
+    # over Q and each F_p they are the closed form summed over weights 0..10
     started = time.perf_counter()
     done = run_process("-m", "polystab.cli", *argv, "--json", "--cache-dir", str(tmp_path), timeout=20)
     elapsed = time.perf_counter() - started
@@ -377,10 +393,9 @@ def test_integral_k10_tables_finish_and_match_the_fields(tmp_path, argv, table):
     assert elapsed < 2, f"took {elapsed:.2f}s"
     integral = GradedAbelianGroup.from_payload(json.loads(done.stdout)["result"]["homology"])
     top = integral.top_degree()
-    for p in (2, 3, 5, 7):
-        dims = table(GF(p)).groups
-        assert [integral.dim_mod(i, p) for i in range(top + 2)] == dims.dims(top + 1), p
-    assert [integral.free_rank(i) for i in range(top + 2)] == table(Q).groups.dims(top + 1)
+    for p in (0, 2, 3, 5, 7):
+        want = [sum(column) for column in zip(*verify.loop_space_series(2, p, top + 1)[:11])]
+        assert [integral.dim_mod(i, p) if p else integral.free_rank(i) for i in range(top + 2)] == want, p
 
 
 def test_failed_local_certificate_exits_two(capsys, monkeypatch):
