@@ -10,7 +10,7 @@ The package computes, with no floating point anywhere:
   rational-map spaces, and Poincare series of the limiting double loop
   space, via the stable splitting into configuration-space summands;
 * first pages of the discriminant spectral sequences, as bookkeeping;
-* finite-field membership tests and exhaustive point counts, and the jet
+* finite-field membership tests and sieved point counts, and the jet
   map over exact rationals, as independent arithmetic oracles.
 """
 

@@ -361,7 +361,7 @@ def build_parser() -> _Parser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--mode", choices=["brute", "formula", "both"], default="both")
     p.add_argument("--budget", type=int, default=ffield.DEFAULT_ENUMERATION_BUDGET,
-                   help="most monic first entries (p^d of them) to enumerate (default %(default)s)")
+                   help="most monic first entries (p^d of them) to sieve (default %(default)s)")
     common(p, k_max=False, ring=False)
     p.set_defaults(func=_cmd_count)
 

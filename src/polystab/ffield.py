@@ -8,7 +8,8 @@ decomposition is the characteristic-p-correct one: whenever the derivative
 dies, a p-th root is extracted explicitly, so multiplicities divisible by p
 are handled exactly (a naive iterated-derivative test would not be).
 
-Point counts enumerate the p^d first entries f_1 and count the other entries
+Point counts sieve the p^d first entries f_1 by the n-th powers of the monic
+irreducibles, listed by a sieve of Eratosthenes, and count the other entries
 by inclusion-exclusion over the irreducibles pi with pi^n | f_1, a derivation
 that shares no step with the h^n * g factorisation of :func:`closed_form_count`.
 """
@@ -16,7 +17,6 @@ that shares no step with the h^n * g factorisation of :func:`closed_form_count`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import prod
 
 from .poly import Poly, _poly, poly_gcd
@@ -87,11 +87,7 @@ def max_common_multiplicity(t: FpTuple) -> int:
     g = t.entries[0]
     for f in t.entries[1:]:
         g = poly_gcd(g, f)
-        if g.degree == 0:
-            return 0
-    if g.degree == 0:
-        return 0
-    return max(squarefree_multiplicities(g))
+    return max(squarefree_multiplicities(g)) if g.degree > 0 else 0
 
 
 def is_member(t: FpTuple) -> bool:
@@ -99,45 +95,49 @@ def is_member(t: FpTuple) -> bool:
     return max_common_multiplicity(t) < t.n
 
 
-def iter_monic(p: int, d: int):
-    """All monic degree-d polynomials over F_p, p already checked prime, in lexicographic order."""
-    for lower in product(range(p), repeat=d):
-        yield _poly(p, [*lower, 1])
+def _times_monic(h: Poly, k: int) -> list[int]:
+    """Codes of h * g for the p^k monic g of degree k.
+
+    A code packs the coefficients, constant term first, into s-bit fields with
+    2^(s-1) >= p.  A field of a sum of two codes is >= p iff adding 2^(s-1) - p
+    sets its top bit, so codes add mod p in a few integer operations.
+    """
+    p, s = h.p, (h.p - 1).bit_length() + 1
+    out = [sum(a << s * (i + k) for i, a in enumerate(h.coeffs))]
+    ones = sum(1 << s * i for i in range(h.degree + k + 1)) if k else 0
+    lift, top = ((1 << s - 1) - p) * ones, (1 << s - 1) * ones
+    for i in range(k):  # add c * h * z^i, c = 1..p-1, to every code so far
+        shifted = [sum(c * a % p << s * (i + j) for j, a in enumerate(h.coeffs)) for c in range(1, p)]
+        out += [(t := v + w) - (((t + lift) & top) >> s - 1) * p for w in shifted for v in out]
+    return out
 
 
-def factor_degrees(f: Poly) -> list[int]:
-    """Degrees of the irreducible factors of a squarefree monic f over F_p, by
-    distinct-degree factorisation: once the factors of degree < i are divided
-    out, gcd(f, z^(p^i) - z) is the product of those of degree i."""
-    z, degrees, i = Poly(f.p, (0, 1)), [], 0
-    power = z
-    while f.degree >= 2 * (i + 1):  # else f is 1 or irreducible
-        i, base = i + 1, power
-        for bit in bin(f.p)[3:]:  # power <- power^p mod f by square-and-multiply
-            power = power * power % f
-            if bit == "1":
-                power = power * base % f
-        g = poly_gcd(f, power - z)
-        degrees += [i] * (g.degree // i)
-        f = f // g
-    return degrees + [f.degree] if f.degree > 0 else degrees
+def _monic_irreducibles(p: int, top: int) -> list[list[Poly]]:
+    """The monic irreducibles over F_p of each degree 0..top, by a sieve: one of
+    degree e is reducible iff it is u * g with u irreducible, 1 <= deg u <= e/2."""
+    found, s = [[]], (p - 1).bit_length() + 1
+    for e in range(1, top + 1):
+        reducible = {code for a in range(1, e // 2 + 1) for u in found[a] for code in _times_monic(u, e - a)}
+        found.append([_poly(p, [code >> s * i & (1 << s) - 1 for i in range(e + 1)])
+                      for code in _times_monic(_poly(p, [1]), e) if code not in reducible])
+    return found
 
 
-def count_points(
-    d: int, m: int, n: int, p: int, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> int:
-    """Exact number of member tuples over F_p, enumerating the p^d first entries.
+def count_points(d: int, m: int, n: int, p: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> int:
+    """Exact number of member tuples over F_p, sieving the p^d first entries.
 
-    A member f_1 completes with all p^((m-1)d) (m-1)-tuples.  Otherwise the
-    tuple fails iff pi_i^n divides every other entry for one of the distinct
-    irreducibles pi_1..pi_r with pi_i^n | f_1.  A monic degree-d g is divisible
-    by a monic h in p^(d - deg h) ways, so inclusion-exclusion over subsets S
-    of the pi_i counts the completions as, with R = prod_i pi_i,
-        sum_S (-1)^|S| p^((m-1)(d - n deg prod S))
-          = p^((m-1)(d - n deg R)) prod_i (p^((m-1) n deg pi_i) - 1).
+    Each monic irreducible pi of degree e <= d/n marks the first entries pi^n * g.
+    An unmarked f_1 completes with all rest^d (m-1)-tuples, rest = p^(m-1); a
+    marked one fails iff pi^n divides every other entry for a pi that marked it.
+    A monic degree-d g is divisible by a monic h in p^(d - deg h) ways, so
+    inclusion-exclusion over the pi_i that marked f_1 counts its completions as
+        rest^(d - n sum_i deg pi_i) prod_i (rest^(n deg pi_i) - 1),
+    which is 0 for m = 1.
     """
     if d < 1 or m < 1 or n < 1:
         raise ValueError("d, m, n must be positive")
+    if budget < 1:
+        raise ValueError("budget must be positive")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     firsts = p**d if d < 2 * budget.bit_length() else f"{p}^{d}"  # a huge p^d is named, not computed
@@ -146,15 +146,15 @@ def count_points(
                          f"raise the budget to at least {firsts}")
     if n > d:
         return p ** (d * m)  # no degree-d polynomial has a root of multiplicity > d
-    count, rest = 0, p ** (m - 1)
-    for f in iter_monic(p, d):
-        if is_member(FpTuple((f,), d, 1, n, p)):
-            count += rest**d
-        elif m > 1:  # for m = 1 each factor rest^(n deg pi) - 1 is 0
-            high = [g for k, g in squarefree_multiplicities(f).items() if k >= n]
-            degrees = [e for g in high for e in factor_degrees(g)]
-            count += rest ** (d - n * sum(degrees)) * prod(rest ** (n * e) - 1 for e in degrees)
-    return count
+    # a marked entry keeps its completions: rest^d times 1 - rest^(-ne) for each pi
+    # of degree e that marked it, exact in integers as those pi^n are coprime divisors
+    rest, completions = p ** (m - 1), {}
+    for e, irreducibles in enumerate(_monic_irreducibles(p, d // n)):
+        for pi in irreducibles:
+            for code in _times_monic(prod([pi] * (n - 1), start=pi), d - n * e):
+                c = completions.get(code, rest**d)
+                completions[code] = c - c // rest ** (n * e)
+    return (p**d - len(completions)) * rest**d + sum(completions.values())
 
 
 def closed_form_count(d: int, m: int, n: int, q: int) -> int:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from polystab import braid, cli, complexes, jets, linalg, verify
+from polystab import braid, cli, complexes, ffield, jets, linalg, verify
 from polystab.abelian import GradedAbelianGroup
 from polystab.rings import MILLER_RABIN_BOUND
 
@@ -95,7 +95,7 @@ def test_count_refuses_a_non_prime_in_every_mode(capsys, mode):
 
 
 def test_count_meets_the_pd_target():
-    # 3^12 tuples; the counter enumerates the 3^6 first entries
+    # 3^12 tuples; the counter sieves the 3^6 first entries
     started = time.perf_counter()
     done = run_process(
         "-m", "polystab.cli", "count", "--d", "6", "--m", "2", "--n", "2", "--p", "3",
@@ -105,6 +105,37 @@ def test_count_meets_the_pd_target():
     assert done.returncode == 0, done.stderr
     assert '"equal":true' in done.stdout
     assert elapsed < 1, f"took {elapsed:.2f}s"
+
+
+def test_count_sieves_sixteen_degrees_quickly():
+    # 2^16 first entries, sieved rather than factored one by one
+    started = time.perf_counter()
+    done = run_process(
+        "-m", "polystab.cli", "count", "--d", "16", "--m", "1", "--n", "2", "--p", "2",
+        "--mode", "both", "--json", timeout=20,
+    )
+    elapsed = time.perf_counter() - started
+    assert done.returncode == 0, done.stderr
+    assert '"equal":true' in done.stdout
+    assert elapsed < 2, f"took {elapsed:.2f}s"
+
+
+def test_count_refuses_a_budget_below_one(capsys):
+    code, out, err = run(capsys, "count", "--d", "3", "--m", "2", "--n", "2", "--p", "3", "--budget", "0")
+    assert (code, out, err) == (1, "", "polystab: error: budget must be positive\n")
+
+
+def test_planted_sieve_fault_fails_count_and_verify(tmp_path, capsys, monkeypatch):
+    # without the degree-2 irreducibles, (z^2 + 1)^2 and its kin count as members
+    real = ffield._monic_irreducibles
+    monkeypatch.setattr(ffield, "_monic_irreducibles",
+                        lambda p, top: [[] if e == 2 else found for e, found in enumerate(real(p, top))])
+    code, out, _ = run(capsys, "count", "--d", "4", "--m", "2", "--n", "2", "--p", "3", "--mode", "both")
+    assert code == 2
+    assert out.splitlines()[-1] == "DIFFER"
+    code, out, _ = run(capsys, "verify", "counts", "--cache-dir", str(tmp_path))
+    assert code == 2
+    assert "FAIL counts.d4_m1_n2_p2" in out and "FAIL verify:counts" in out
 
 
 def test_stability_dim(capsys):
@@ -365,7 +396,7 @@ def test_benchmark_tracer_binds_package_layers(tmp_path):
     cases = [
         (("betti", "--d", "4", "--m", "1", "--n", "2"), None, {"spaces.poly_homology", "linalg.rank_q"}),
         (("count", "--d", "2", "--m", "2", "--n", "2", "--p", "3"), None,
-         {"ffield.count_points", "ffield.is_member"}),
+         {"ffield.count_points", "ffield.closed_form"}),
         (("jet", "--n", "2"), "0,0,1\n", {"jets.check"}),
     ]
     for argv, stdin, spans in cases:

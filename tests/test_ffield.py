@@ -6,13 +6,12 @@ from itertools import product
 import pytest
 
 import polystab.poly
+from polystab import ffield
 from polystab.ffield import (
     FpTuple,
     closed_form_count,
     count_points,
-    factor_degrees,
     is_member,
-    iter_monic,
     max_common_multiplicity,
     squarefree_multiplicities,
 )
@@ -21,6 +20,12 @@ from polystab.poly import Poly, poly_gcd
 
 def P(p, *coeffs):
     return Poly(p, coeffs)
+
+
+def iter_monic(p, d):
+    """All monic degree-d polynomials over F_p, in lexicographic order."""
+    for lower in product(range(p), repeat=d):
+        yield Poly(p, (*lower, 1))
 
 
 def _shift(f, c):
@@ -209,9 +214,13 @@ def test_count_examples():
 def test_count_budget_refusal():
     with pytest.raises(ValueError, match="raise the budget to at least 1024"):
         count_points(10, 1, 2, 2, budget=1000)
-    # the default budget refuses 100003 first entries, about ten seconds of work
+    # the default budget refuses 100003 first entries
     with pytest.raises(ValueError, match="enumeration of 100003 first entries exceeds the budget 100000"):
         count_points(1, 2, 1, 100003)
+    # a budget below 1 is refused as such, not as a request for "at least 3^3"
+    for budget in (0, -5):
+        with pytest.raises(ValueError, match="^budget must be positive$"):
+            count_points(3, 2, 2, 3, budget=budget)
 
 
 def test_count_budget_refuses_huge_degrees_unevaluated():
@@ -222,7 +231,7 @@ def test_count_budget_refuses_huge_degrees_unevaluated():
 
 
 def test_count_budget_bounds_first_entries():
-    # 5^18 tuples, but only 5^6 first entries are enumerated
+    # 5^18 tuples, but only 5^6 first entries are sieved
     assert count_points(6, 3, 2, 5) == closed_form_count(6, 3, 2, 5)
     assert count_points(4, 2, 2, 3, budget=81) == closed_form_count(4, 2, 2, 3)
     with pytest.raises(
@@ -259,29 +268,31 @@ def test_count_points_against_brute_force(d, m, p):
         assert closed_form_count(d, m, n, p) == members, n
 
 
-def test_factor_degrees_examples():
-    z = P(2, 0, 1)
-    f = z * P(2, 1, 1) * P(2, 1, 1, 1) * P(2, 1, 1, 0, 1)  # z (z+1) (z^2+z+1) (z^3+z+1)
-    assert sorted(factor_degrees(f)) == [1, 1, 2, 3]
-    assert sorted(factor_degrees(P(2, 1, 1, 1) * P(2, 1, 1, 0, 0, 1))) == [2, 4]
-    # over F_3: z^2+1 and the Artin-Schreier cubic z^3-z+1 are irreducible
-    f = P(3, 0, 1) * P(3, 1, 1) * P(3, 2, 1) * P(3, 1, 0, 1) * P(3, 1, 2, 0, 1)
-    assert sorted(factor_degrees(f)) == [1, 1, 1, 2, 3]
-    # over F_5: z^2+2 (-2 is not a square) and z^3+z+1 (no root) are irreducible
-    assert sorted(factor_degrees(P(5, 2, 0, 1) * P(5, 1, 1, 0, 1) * P(5, 3, 1))) == [1, 2, 3]
-    assert factor_degrees(P(5, 2, 0, 1)) == [2]
-    assert factor_degrees(Poly.one(3)) == []
-
-
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_factor_degrees_exhaustive(p):
-    max_degree = {2: 6, 3: 4, 5: 3}[p]
+def test_monic_irreducibles_exhaustive(p):
+    # the sieve's list equals trial division, degree by degree
+    max_degree = {2: 8, 3: 5, 5: 3}[p]
     irreducibles = _irreducibles(p, max_degree)
+    found = ffield._monic_irreducibles(p, max_degree)
+    assert found[0] == []
     for d in range(1, max_degree + 1):
-        for f in iter_monic(p, d):
-            factors = _factor_oracle(f, irreducibles)
-            if set(factors.values()) == {1}:  # squarefree
-                assert sorted(factor_degrees(f)) == sorted(q.degree for q in factors), f
+        assert set(found[d]) == {f for f in irreducibles if f.degree == d}, d
+        assert len(found[d]) == len(set(found[d]))
+
+
+def test_count_points_skips_the_membership_test(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("count_points factored a first entry")
+
+    for name in ("squarefree_multiplicities", "max_common_multiplicity", "is_member"):
+        monkeypatch.setattr(ffield, name, refuse)
+    assert count_points(6, 3, 2, 5) == closed_form_count(6, 3, 2, 5)
+    assert count_points(4, 2, 1, 3) == closed_form_count(4, 2, 1, 3)
+
+
+@pytest.mark.parametrize("d, m, n, p", [(4, 1, 2, 11), (8, 1, 3, 3), (7, 1, 4, 3), (10, 1, 4, 2), (16, 1, 2, 2)])
+def test_count_points_matches_the_closed_form_at_the_benchmark_sizes(d, m, n, p):
+    assert count_points(d, m, n, p) == closed_form_count(d, m, n, p)
 
 
 def test_closed_form_examples():
