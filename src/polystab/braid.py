@@ -28,6 +28,8 @@ manifold of real dimension 2k, so transposing the complex and regrading a
 cell of dimension j into homological degree 2k - j computes ordinary
 homology, with matching torsion.  :func:`config_homology` reduces it by ranks alone, for
 every ring; the dense :func:`dual_fn_complex` and Smith normal form are the test oracle.
+Since d^2 = 0, a lead (pivot column) of d_i is matched up a degree: its row of d_(i+1) lies in
+the span of the others, over a field and over Z_(p) alike, so each degree ranks only the rest.
 """
 
 from __future__ import annotations
@@ -93,20 +95,16 @@ def dual_fn_complex(k: int, system: str, k_max: int = DEFAULT_K_MAX) -> ChainCom
     _check_k(k, k_max)
     _check_system(system)
     counts = {i: comb(k - 1, i) for i in range(k)}
+    rows = {i: _dual_boundary_rows(k, system, i) for i in range(1, k + 1)}  # degree k: the cell with no cut
     boundary = {}
     for i in range(1, k):
-        position = {_cut_mask(k, cuts): j for j, cuts in enumerate(combinations(range(1, k), k - i - 1))}
+        position = {key: j for j, key in enumerate(rows[i + 1])}  # the cells of degree i, in row order
         dense = [[0] * counts[i] for _ in range(counts[i - 1])]
-        for out, row in zip(dense, _dual_boundary_rows(k, system, i)):
+        for out, row in zip(dense, rows[i].values()):
             for key, v in row:
                 out[position[key]] = v
         boundary[i] = IntMatrix(counts[i - 1], counts[i], dense)
     return ChainComplex(counts, boundary)
-
-
-def _cut_mask(k: int, cuts) -> int:
-    """Column key of the composition of k cut at ``cuts``: cut c sets bit k - 1 - c."""
-    return sum(1 << (k - 1 - c) for c in cuts)
 
 
 def _merge_coefficients(k: int, system: str) -> list[list[int]]:
@@ -145,31 +143,29 @@ def _merge_coefficients(k: int, system: str) -> list[list[int]]:
     return s
 
 
-def _dual_boundary_rows(k: int, system: str, i: int) -> list[list[tuple[int, int]]]:
-    """Sparse rows of the degree-i boundary of the transposed complex (i >= 1).
+def _dual_boundary_rows(k: int, system: str, i: int, skip=frozenset()) -> dict[int, list[tuple[int, int]]]:
+    """Sparse rows of the degree-i boundary of the transposed complex (i >= 1), keyed by cell.
 
-    A composition of k is its set of cuts in 1..k-1, and its column key is
-    :func:`_cut_mask`.  Row r is the merge boundary of the r-th cell with
-    k - i + 1 parts (``combinations`` order of its k - i cuts), as
-    ``(key, coefficient)`` pairs over the cells with k - i parts: distinct
-    keys in increasing order, no zero coefficient, at most k - i pairs (one
-    per deleted cut).  The first merge deletes the highest bit, so whenever
-    its coefficient is nonzero it is the row's smallest key; elimination by
-    leading key then pivots on first merges, the order of algebraic discrete
-    Morse theory on the bar complex (Skoldberg, Trans. AMS 358, 2006;
-    Joellenbeck-Welker, Mem. AMS 197, 2009).
+    A composition of k is its set of cuts in 1..k-1, and its key is its cut
+    mask, cut c at bit k - 1 - c.  The row of a cell with k - i + 1 parts
+    (its k - i cuts in ``combinations`` order, masks in ``skip`` left out) is
+    its merge boundary as ``(key, coefficient)`` pairs over the cells with
+    k - i parts: distinct keys in increasing order, no zero coefficient, at
+    most k - i pairs (one per deleted cut).  The first merge deletes the
+    highest bit, so whenever its coefficient is nonzero it is the row's
+    smallest key; elimination by leading key then pivots on first merges, the
+    order of algebraic discrete Morse theory on the bar complex (Skoldberg,
+    Trans. AMS 358, 2006; Joellenbeck-Welker, Mem. AMS 197, 2009).
     """
     s = _merge_coefficients(k, system)
-    bit = [1 << (k - 1 - c) for c in range(k)]
-    rows = []
-    for cuts in combinations(range(1, k), k - i):
-        mask = _cut_mask(k, cuts)
-        row = []
-        for j, (prev, c, nxt) in enumerate(zip((0, *cuts), cuts, (*cuts[1:], k))):
-            coeff = s[c - prev][nxt - c]
-            if coeff:
-                row.append((mask ^ bit[c], -coeff if j % 2 else coeff))
-        rows.append(row)
+    bit = [1 << (k - 1 - c) for c in range(1, k)]
+    signs = [(-1) ** j for j in range(k - i)]
+    rows = {}
+    for cuts, bits in zip(combinations(range(1, k), k - i), combinations(bit, k - i)):
+        mask = sum(bits)
+        if mask not in skip:
+            rows[mask] = [(mask ^ b, v) for sign, prev, c, nxt, b in zip(signs, (0, *cuts), cuts, (*cuts[1:], k), bits)
+                          if (v := sign * s[c - prev][nxt - c])]
     return rows
 
 
@@ -186,20 +182,29 @@ def _homology(k: int, system: str, ring: Ring, through: int | None) -> GradedAbe
     No prime q > k divides a divisor: F(C, k) -> C_k is a k!-sheeted cover that makes the
     system trivial, and transfer then projection is multiplication by k!, so H_*(C_k; L x
     Z[1/k!]) is a summand of the free H_*(F(C, k); Z[1/k!]) (Arnold).
+
+    Each modulus ranks d_(i+1) only on the rows whose cell is not a lead of its d_i, and only rows
+    some modulus keeps are built.  A pivot v of d_i has v d_(i+1) = 0 (d^2 = 0) and is a unit at its
+    lead, zero below: by downward induction every lead row is a combination of the others.  Lifted
+    to Z, the F_p pivots' lead block is unit-triangular mod p, so invertible over Z_(p): the pruned
+    rows span the same Z_(p)-module, and :func:`p_local_ranks` on them gives the same (a, b).
     """
     hi = k - 1 if through is None else min(through, k - 1)
     moduli = [0, *(p for p in range(2, k + 1) if is_prime(p))] if ring == Z else [ring.p or 0]
     ranks, torsion = {}, {i: [] for i in range(k)}
+    leads = dict.fromkeys(moduli, set())
     for i in range(1, min(hi + 1, k - 1) + 1):
-        rows = _dual_boundary_rows(k, system, i)
-        r = [rank_mod_p_rows(rows, m) if m else rank_int_rows(rows) for m in moduli]
+        rows = _dual_boundary_rows(k, system, i, set.intersection(*leads.values()))
+        kept = {m: [row for cell, row in rows.items() if cell not in leads[m]] for m in moduli}
+        leads = {m: rank_mod_p_rows(kept[m], m) if m else rank_int_rows(kept[m]) for m in moduli}
+        r = [len(leads[m]) for m in moduli]
         ranks[i] = r[0]
         for p, r_p in zip(moduli[1:], r[1:]):
-            if r_p < r[0] and sum(p_local_ranks(rows, p)) != r[0]:
+            if r_p < r[0] and sum(p_local_ranks(kept[p], p)) != r[0]:
                 raise CellModelError(f"integral homology of C_{k} ({system} system) in degree {i - 1}: "
                                      f"an elementary divisor is divisible by {p}^2; no table is given")
             torsion[i - 1] += [p] * (r[0] - r_p)
-        del rows
+        del rows, kept
     return GradedAbelianGroup({
         i: AbelianGroup.from_orders(comb(k - 1, i) - ranks.get(i, 0) - ranks.get(i + 1, 0), torsion[i])
         for i in range(hi + 1)

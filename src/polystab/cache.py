@@ -4,9 +4,9 @@ One file per (k, coefficient system) key.  Files are JSON beginning with a
 format/version tag and the key itself; writes go through a temporary file and
 an atomic rename so concurrent readers never see a partial entry.  Anything
 unreadable is treated as a miss (corrupt entries additionally warn) and gets
-recomputed; an entry whose degrees or Euler characteristic cannot belong to
-its key counts as corrupt.  Each :class:`HomologyCache` also keeps in memory
-every table it wrote or read, so a process reads each entry at most once.
+recomputed; an entry whose degrees, Euler characteristic or torsion cannot
+belong to its key counts as corrupt.  Each :class:`HomologyCache` also keeps in
+memory every table it wrote or read: a process reads each entry at most once.
 """
 
 from __future__ import annotations
@@ -16,9 +16,11 @@ import os
 import tempfile
 import warnings
 from dataclasses import dataclass
+from math import prod
 from pathlib import Path
 
 from .abelian import GradedAbelianGroup
+from .rings import is_prime
 
 CACHE_FORMAT = "polystab-braid-homology"
 CACHE_VERSION = 1
@@ -51,10 +53,14 @@ def _check_table(key: BraidHomologyKey, table: GradedAbelianGroup) -> None:
 
     The cell model has binomial(k-1, i) cells in degree i, so the homology
     lives in degrees 0..k-1 and its Euler characteristic is 1 for k = 1 and 0
-    for k >= 2, whatever the coefficient system.
+    for k >= 2, whatever the coefficient system.  Its torsion has exponent p (F.
+    Cohen) and no prime above k (transfer), so each order divides prod(p <= k).
     """
     if any(not 0 <= d < key.k for d in table.degrees()):
         raise ValueError(f"degrees {table.degrees()} outside 0..{key.k - 1}")
+    primorial = prod(p for p in range(2, key.k + 1) if is_prime(p))
+    if bad := [t for d in table.degrees() for t in table.group(d).torsion if primorial % t]:
+        raise ValueError(f"torsion order {bad[0]} is impossible for k={key.k}")
     euler = sum((-1) ** d * table.free_rank(d) for d in table.degrees())
     if euler != (1 if key.k == 1 else 0):
         raise ValueError(f"Euler characteristic {euler} is impossible for k={key.k}")

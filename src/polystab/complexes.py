@@ -83,7 +83,7 @@ def complex_homology(cpx: ChainComplex, ring: Ring = Z) -> GradedAbelianGroup:
             groups[i] = AbelianGroup(free, torsion)
     else:
         rows = {i: cpx.boundary_matrix(i).sparse_rows() for i in range(cpx.low + 1, cpx.high + 1)}
-        ranks = {i: rank_mod_p_rows(r, ring.p) if ring.p else rank_int_rows(r) for i, r in rows.items()}
+        ranks = {i: len(rank_mod_p_rows(r, ring.p) if ring.p else rank_int_rows(r)) for i, r in rows.items()}
         for i in cpx.degrees:
             dim = cpx.generator_counts[i] - ranks.get(i, 0) - ranks.get(i + 1, 0)
             groups[i] = AbelianGroup(dim)

@@ -201,30 +201,29 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     return SmithForm(tuple(factors), len(factors))
 
 
-def eliminate(rows: list[list[tuple[int, int]]], modulus: int) -> int:
-    """Rank of sparse integer rows over Q (``modulus`` 0) or F_p (``modulus`` p).
+def eliminate(rows: list[list[tuple[int, int]]], modulus: int) -> set[int]:
+    """Pivot ("lead") columns of sparse integer rows over Q (``modulus`` 0) or F_p (``modulus`` p).
 
-    Each row lists ``(column, value)`` pairs with distinct columns.  Pivot rows
-    are kept in a dict keyed by leading column, so reducing a row touches only
-    the pivots its own entries hit.  Columns may be any integers; a row's
-    leading column is its smallest.  Over F_p (F_2 included) pivots are scaled
-    to lead with 1; over Q each step is fraction-free (``a*row - b*pivot``)
-    followed by removal of the row's content, so entries stay exact integers.
+    The rank is their count.  Each row lists ``(column, value)`` pairs with
+    distinct integer columns.  Pivots are kept in a dict keyed by leading
+    (smallest) column, so each is a vector of the row space that is zero below
+    its lead, and reducing a row touches only the pivots its own entries hit.
+    Over F_p (F_2 included) a pivot is scaled by the inverse of its lead only
+    when used; over Q each step is fraction-free (``a*row - b*pivot``) followed
+    by removal of the row's content, so entries stay exact integers.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        work = {j: v % modulus for j, v in row if v % modulus} if modulus else {j: v for j, v in row if v}
+        work = {j: x for j, v in row if (x := v % modulus)} if modulus else {j: v for j, v in row if v}
         while work:
             lead = min(work)
             pivot = pivots.get(lead)
             if pivot is None:
-                if modulus:
-                    inv = pow(work[lead], -1, modulus)
-                    work = {j: v * inv % modulus for j, v in work.items()}
                 pivots[lead] = work
                 break
             v = work[lead]
             if modulus:
+                v = v * pow(pivot[lead], -1, modulus)
                 for j, w in pivot.items():
                     x = (work.get(j, 0) - v * w) % modulus
                     if x:
@@ -249,7 +248,7 @@ def eliminate(rows: list[list[tuple[int, int]]], modulus: int) -> int:
                         break
                 if content > 1:
                     work = {j: x // content for j, x in work.items()}
-    return len(pivots)
+    return set(pivots)
 
 
 def p_local_ranks(rows: list[list[tuple[int, int]]], p: int) -> tuple[int, int]:
@@ -281,16 +280,16 @@ def p_local_ranks(rows: list[list[tuple[int, int]]], p: int) -> tuple[int, int]:
                     del work[j]
         else:
             rest.append([(j, v // p) for j, v in work.items()])
-    return len(pivots), eliminate([list(pivot.items()) for pivot in pivots.values()] + rest, p) - len(pivots)
+    return len(pivots), len(eliminate([list(pivot.items()) for pivot in pivots.values()] + rest, p)) - len(pivots)
 
 
-def rank_int_rows(rows: list[list[tuple[int, int]]]) -> int:
-    """Rank over Q of sparse integer rows (see :func:`eliminate`)."""
+def rank_int_rows(rows: list[list[tuple[int, int]]]) -> set[int]:
+    """Pivot columns over Q of sparse integer rows (see :func:`eliminate`)."""
     return eliminate(rows, 0)
 
 
-def rank_mod_p_rows(rows: list[list[tuple[int, int]]], p: int) -> int:
-    """Rank over F_p of sparse integer rows (see :func:`eliminate`)."""
+def rank_mod_p_rows(rows: list[list[tuple[int, int]]], p: int) -> set[int]:
+    """Pivot columns over F_p of sparse integer rows (see :func:`eliminate`)."""
     return eliminate(rows, p)
 
 

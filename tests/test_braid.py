@@ -1,5 +1,6 @@
 import random
 import time
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -28,10 +29,11 @@ Z2 = AbelianGroup(0, (2,))
 
 def test_cell_masks_small():
     # k = 3: cut 1 is bit 1 and cut 2 is bit 0, so (1,2) -> 2, (2,1) -> 1, (3) -> 0
-    assert braid._dual_boundary_rows(3, SIGN, 1) == [[(1, 2), (2, -2)]]
-    assert braid._dual_boundary_rows(3, TRIVIAL, 1) == [[]]
-    assert braid._dual_boundary_rows(3, SIGN, 2) == [[(0, 3)], [(0, 3)]]
-    assert braid._dual_boundary_rows(3, TRIVIAL, 2) == [[(0, 1)], [(0, 1)]]
+    assert braid._dual_boundary_rows(3, SIGN, 1) == {3: [(1, 2), (2, -2)]}
+    assert braid._dual_boundary_rows(3, TRIVIAL, 1) == {3: []}
+    assert list(braid._dual_boundary_rows(3, SIGN, 2).items()) == [(2, [(0, 3)]), (1, [(0, 3)])]
+    assert braid._dual_boundary_rows(3, TRIVIAL, 2) == {2: [(0, 1)], 1: [(0, 1)]}
+    assert braid._dual_boundary_rows(3, SIGN, 2, {2}) == {1: [(0, 3)]}
 
 
 def test_cell_count_and_dimensions():
@@ -150,14 +152,75 @@ def test_dense_matrices_match_the_lexicographic_builder():
                 assert cpx.boundary_matrix(i).entries == want, (k, system, i)
 
 
+@cache
+def _full_row_leads(k, system, modulus):
+    """Leads of every degree's full rows, the oracle for the pruned route (shared by two tests)."""
+    return [eliminate(list(braid._dual_boundary_rows(k, system, i).values()), modulus) for i in range(1, k)]
+
+
 def test_mask_order_ranks_match_the_lexicographic_order():
     for k in range(2, 13):
         for system in (TRIVIAL, SIGN):
             for i in range(1, k):
                 old = _lexicographic_rows(k, system, i)
-                new = braid._dual_boundary_rows(k, system, i)
                 for modulus in (0, 2, 3, 5, 7):
-                    assert eliminate(new, modulus) == eliminate(old, modulus), (k, system, i, modulus)
+                    new = _full_row_leads(k, system, modulus)[i - 1]
+                    assert len(new) == len(eliminate(old, modulus)), (k, system, i, modulus)
+
+
+def _spy_on_the_kernel(monkeypatch):
+    """Record the rows and the leads of every rank ``braid`` asks of the kernel, in call order."""
+    calls = []
+    for name in ("rank_int_rows", "rank_mod_p_rows"):
+        def spy(rows, *p, _real=getattr(braid, name)):
+            calls.append((rows, _real(rows, *p)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(braid, name, spy)
+    return calls
+
+
+def test_pruned_ranks_match_full_row_elimination(monkeypatch):
+    # pruned rows span the row space of the full rows, so even the leads agree
+    calls = _spy_on_the_kernel(monkeypatch)
+    for k in range(2, 15):
+        for system in (TRIVIAL, SIGN):
+            for m in (0, 2, 3, 5, 7):
+                calls.clear()
+                config_homology(k, system, GF(m) if m else Q, k_max=14)
+                assert [leads for _, leads in calls] == _full_row_leads(k, system, m), (k, system, m)
+
+
+@pytest.mark.parametrize("system", [TRIVIAL, SIGN])
+def test_each_degree_ranks_only_rows_that_are_not_leads_below(monkeypatch, system):
+    # over Z each modulus hands degree i + 1 at most comb(k-1, i) - r_i rows, r_i its rank of
+    # d_i, and only the cells that are leads for every modulus go unbuilt
+    k, moduli = 12, (0, 2, 3, 5, 7, 11)
+    calls = _spy_on_the_kernel(monkeypatch)
+    built, local = [], []
+    real_rows, real_local = braid._dual_boundary_rows, braid.p_local_ranks
+
+    def rows_spy(*args):
+        built.append(real_rows(*args))
+        return built[-1]
+
+    def local_spy(rows, p):
+        local.append((len(calls) // len(moduli), p, real_local(rows, p)))  # degree i ranked every modulus
+        return local[-1][2]
+
+    monkeypatch.setattr(braid, "_dual_boundary_rows", rows_spy)
+    monkeypatch.setattr(braid, "p_local_ranks", local_spy)
+    config_homology(k, system, Z, k_max=k)
+    per_degree = [calls[j : j + len(moduli)] for j in range(0, len(calls), len(moduli))]
+    assert len(per_degree) == len(built) == k - 1
+    for i, (below, above) in enumerate(zip(per_degree, per_degree[1:]), start=1):
+        for (_, leads), (rows, _) in zip(below, above):
+            assert len(rows) <= comb(k - 1, i) - len(leads), (i, len(rows))
+        assert len(built[i]) == comb(k - 1, i) - len(set.intersection(*(leads for _, leads in below)))
+    # the certificate sees the same Z_(p) row module as on the full rows
+    assert local
+    for i, p, got in local:
+        assert got == real_local(list(real_rows(k, system, i).values()), p), (i, p)
 
 
 def _nonzero_squares(k, rows_by_degree, cell_keys):
@@ -187,6 +250,8 @@ def test_boundary_squared_of_every_built_row_vanishes():
                  for i in range(k)]
         for system in (TRIVIAL, SIGN):
             rows = {i: braid._dual_boundary_rows(k, system, i) for i in range(1, k)}
+            assert [list(rows[i]) for i in range(1, k)] == masks[: k - 1], (k, system)
+            rows = {i: list(rows[i].values()) for i in rows}
             assert _nonzero_squares(k, rows, masks) == [], (k, system)
 
 
@@ -294,8 +359,8 @@ def test_local_certificate_runs_only_where_there_is_torsion(monkeypatch):
 def test_planted_p_squared_divisor_is_refused(monkeypatch, system):
     # nine times every degree-2 row: the F_3 rank drops to 0 and no divisor has 3-valuation 0 or 1
     real = braid._dual_boundary_rows
-    monkeypatch.setattr(braid, "_dual_boundary_rows", lambda k, system, i: [
-        [(key, 9 * v if i == 2 else v) for key, v in row] for row in real(k, system, i)])
+    monkeypatch.setattr(braid, "_dual_boundary_rows", lambda k, system, i, skip: {
+        cell: [(key, 9 * v if i == 2 else v) for key, v in row] for cell, row in real(k, system, i, skip).items()})
     with pytest.raises(CellModelError, match=r"divisible by 3\^2"):
         config_homology(4, system, Z)
 
@@ -303,9 +368,9 @@ def test_planted_p_squared_divisor_is_refused(monkeypatch, system):
 def test_sign_tables_match_the_closed_form_by_weight():
     # H_i(C_k; sign x F_p) is weight k, degree i + k of the double loop space of S^3
     for p in (2, 3, 5, 7, 0):
-        rows = loop_space_series(2, p, 24)
-        for k in range(1, 13):
-            got = config_homology(k, SIGN, GF(p) if p else Q, k_max=12)
+        rows = loop_space_series(2, p, 32)
+        for k in range(1, 17):
+            got = config_homology(k, SIGN, GF(p) if p else Q, k_max=16)
             assert got.dims(k) == rows[k][k : 2 * k + 1], (k, p)
 
 
@@ -383,7 +448,7 @@ def test_dual_boundary_rows_are_sparse_and_well_formed():
                 rows = braid._dual_boundary_rows(k, system, i)
                 assert len(rows) == comb(k - 1, i - 1)
                 cells = combinations(range(1, k), k - i)
-                for row, cuts in zip(rows, cells):
+                for row, cuts in zip(rows.values(), cells):
                     keys = [key for key, _ in row]
                     assert len(set(keys)) == len(keys) <= k - i
                     assert all(0 <= key < 2 ** (k - 1) for key in keys)

@@ -14,6 +14,7 @@ def cache(tmp_path):
 
 SAMPLE = GradedAbelianGroup({0: AbelianGroup(1), 3: AbelianGroup(1, (2, 6))})
 KEY = BraidHomologyKey(4, "sign")
+K5 = BraidHomologyKey(5, "trivial")
 
 
 def reader(cache):
@@ -67,17 +68,26 @@ def test_key_mismatch_warns_and_misses(cache):
 
 
 @pytest.mark.parametrize(
-    ("table", "reason"),
+    ("key", "table", "reason"),
     [
-        (GradedAbelianGroup({1: AbelianGroup(7), 40: AbelianGroup(7)}), "outside 0..3"),
-        (GradedAbelianGroup({0: AbelianGroup(1), 2: AbelianGroup(0, (3,))}), "Euler characteristic 1"),
+        (KEY, GradedAbelianGroup({1: AbelianGroup(7), 40: AbelianGroup(7)}), "outside 0..3"),
+        (KEY, GradedAbelianGroup({0: AbelianGroup(1), 2: AbelianGroup(0, (3,))}), "Euler characteristic 1"),
+        # torsion has exponent p and no prime above k, so every order divides 2 * 3 * 5 at k = 5
+        (K5, GradedAbelianGroup({0: AbelianGroup(1), 1: AbelianGroup(1, (4,))}), "order 4 is impossible for k=5"),
+        (K5, GradedAbelianGroup({0: AbelianGroup(1), 1: AbelianGroup(1, (13,))}), "order 13 is impossible"),
     ],
-    ids=["degree_out_of_range", "euler_characteristic"],
+    ids=["degree_out_of_range", "euler_characteristic", "torsion_order_4", "torsion_prime_above_k"],
 )
-def test_impossible_table_warns_and_misses(cache, table, reason):
-    cache.put(KEY, table)
+def test_impossible_table_warns_and_misses(cache, key, table, reason):
+    cache.put(key, table)
     with pytest.warns(UserWarning, match=f"corrupted.*{reason}"):
-        assert reader(cache).get(KEY) is None
+        assert reader(cache).get(key) is None
+
+
+def test_possible_torsion_is_served(cache):
+    table = GradedAbelianGroup({0: AbelianGroup(1), 1: AbelianGroup(1, (2, 30))})
+    cache.put(K5, table)
+    assert reader(cache).get(K5) == table
 
 
 def test_put_leaves_no_temporaries(cache):

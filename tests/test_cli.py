@@ -439,8 +439,8 @@ def test_failed_local_certificate_exits_two(capsys, monkeypatch):
 
 def test_planted_p_squared_divisor_exits_two(capsys, monkeypatch):
     real = braid._dual_boundary_rows
-    monkeypatch.setattr(braid, "_dual_boundary_rows", lambda k, system, i: [
-        [(key, 9 * v if i == 2 else v) for key, v in row] for row in real(k, system, i)])
+    monkeypatch.setattr(braid, "_dual_boundary_rows", lambda k, system, i, skip: {
+        cell: [(key, 9 * v if i == 2 else v) for key, v in row] for cell, row in real(k, system, i, skip).items()})
     code, out, err = run(capsys, "betti", "--d", "8", "--m", "1", "--n", "2", "--json")
     assert code == 2
     assert "divisible by 3^2" in json.loads(out)["error"]["message"]
