@@ -20,20 +20,24 @@ from polystab.braid import (
 from polystab.cache import HomologyCache
 from polystab.complexes import ChainComplex, complex_homology
 from polystab.linalg import IntMatrix, eliminate
-from polystab.rings import GF, Q, Z
+from polystab.rings import GF, Q, Z, is_prime
 from polystab.verify import loop_space_series
 
 Z1 = AbelianGroup(1)
 Z2 = AbelianGroup(0, (2,))
 
 
+def _rows(k, system, i):
+    """The full degree-i rows, from a freshly checked merge table."""
+    return braid._dual_boundary_rows(k, braid._merge_coefficients(k, system), i)
+
+
 def test_cell_masks_small():
     # k = 3: cut 1 is bit 1 and cut 2 is bit 0, so (1,2) -> 2, (2,1) -> 1, (3) -> 0
-    assert braid._dual_boundary_rows(3, SIGN, 1) == {3: [(1, 2), (2, -2)]}
-    assert braid._dual_boundary_rows(3, TRIVIAL, 1) == {3: []}
-    assert list(braid._dual_boundary_rows(3, SIGN, 2).items()) == [(2, [(0, 3)]), (1, [(0, 3)])]
-    assert braid._dual_boundary_rows(3, TRIVIAL, 2) == {2: [(0, 1)], 1: [(0, 1)]}
-    assert braid._dual_boundary_rows(3, SIGN, 2, {2}) == {1: [(0, 3)]}
+    assert _rows(3, SIGN, 1) == {3: [(1, 2), (2, -2)]}
+    assert _rows(3, TRIVIAL, 1) == {3: []}
+    assert list(_rows(3, SIGN, 2).items()) == [(2, [(0, 3)]), (1, [(0, 3)])]
+    assert _rows(3, TRIVIAL, 2) == {2: [(0, 1)], 1: [(0, 1)]}
 
 
 def test_cell_count_and_dimensions():
@@ -155,7 +159,7 @@ def test_dense_matrices_match_the_lexicographic_builder():
 @cache
 def _full_row_leads(k, system, modulus):
     """Leads of every degree's full rows, the oracle for the pruned route (shared by two tests)."""
-    return [eliminate(list(braid._dual_boundary_rows(k, system, i).values()), modulus) for i in range(1, k)]
+    return [eliminate(list(_rows(k, system, i).values()), modulus) for i in range(1, k)]
 
 
 def test_mask_order_ranks_match_the_lexicographic_order():
@@ -180,47 +184,121 @@ def _spy_on_the_kernel(monkeypatch):
     return calls
 
 
-def test_pruned_ranks_match_full_row_elimination(monkeypatch):
-    # pruned rows span the row space of the full rows, so even the leads agree
+MORSE_MODULI = (0, 2, 3, 5, 7, 11, 13)
+
+
+def _compositions(k):
+    """Every composition of k, as a tuple, from its cut mask."""
+    out = []
+    for mask in range(2 ** (k - 1)):
+        bounds = (0, *(c for c in range(1, k) if mask >> (c - 1) & 1), k)
+        out.append(tuple(b - a for a, b in zip(bounds, bounds[1:])))
+    return out
+
+
+def test_matching_is_an_involution_and_the_dfs_finds_every_critical_cell():
+    # enumerate every cell: its partner acts at the same position the other way and comes back,
+    # the cells where nothing acts are the DFS's, and the pairs match up_r = C(k-1, r-1) - crit_r - down_r
+    for k in range(1, 15):
+        cells = _compositions(k)
+        for system in (TRIVIAL, SIGN):
+            s = braid._merge_coefficients(k, system)
+            for p in MORSE_MODULI:
+                matching = braid._Matching(k, system, s, p)
+                critical, up = {}, [0] * (k + 1)
+                for cell in cells:
+                    hit = matching.scan(cell)
+                    if hit is None:
+                        critical.setdefault(len(cell), []).append(cell)
+                        continue
+                    j, merge = hit
+                    y = matching.first[cell[j]]
+                    mate = cell[:j] + (cell[j] + cell[j + 1],) + cell[j + 2:] if merge else \
+                        cell[:j] + (y, cell[j] - y) + cell[j + 1:]
+                    assert matching.scan(mate) == (j, not merge), (k, system, p, cell, mate)
+                    up[len(cell)] += not merge  # count each pair at its lower cell
+                assert {r: sorted(c) for r, c in matching.critical.items()} == \
+                    {r: sorted(c) for r, c in critical.items()}, (k, system, p)
+                assert [matching.pairs[r] for r in range(1, k + 1)] == up[1:], (k, system, p)
+
+
+def test_morse_ranks_match_full_row_elimination(monkeypatch):
+    # the pairs across a degree plus the rank of its Morse rows is the rank of the full rows
     calls = _spy_on_the_kernel(monkeypatch)
     for k in range(2, 15):
         for system in (TRIVIAL, SIGN):
-            for m in (0, 2, 3, 5, 7):
+            s = braid._merge_coefficients(k, system)
+            for m in MORSE_MODULI:
                 calls.clear()
                 config_homology(k, system, GF(m) if m else Q, k_max=14)
-                assert [leads for _, leads in calls] == _full_row_leads(k, system, m), (k, system, m)
+                pairs = braid._Matching(k, system, s, m).pairs
+                got = [pairs[k - i] + len(leads) for i, (_, leads) in enumerate(calls, start=1)]
+                assert got == [len(leads) for leads in _full_row_leads(k, system, m)], (k, system, m)
+
+
+def _refuse_full_rows(*args):
+    raise AssertionError("a table built full boundary rows")
 
 
 @pytest.mark.parametrize("system", [TRIVIAL, SIGN])
-def test_each_degree_ranks_only_rows_that_are_not_leads_below(monkeypatch, system):
-    # over Z each modulus hands degree i + 1 at most comb(k-1, i) - r_i rows, r_i its rank of
-    # d_i, and only the cells that are leads for every modulus go unbuilt
+def test_each_degree_ranks_only_critical_cells(monkeypatch, system):
+    # over Z each modulus makes one rank call per degree, on the rows of one end's critical cells,
+    # and no full row is built; each certificate, pairs counted as units, equals the full rows' one
     k, moduli = 12, (0, 2, 3, 5, 7, 11)
+    s = braid._merge_coefficients(k, system)
+    matchings = {m: braid._Matching(k, system, s, m) for m in moduli}
     calls = _spy_on_the_kernel(monkeypatch)
-    built, local = [], []
+    local = []
     real_rows, real_local = braid._dual_boundary_rows, braid.p_local_ranks
-
-    def rows_spy(*args):
-        built.append(real_rows(*args))
-        return built[-1]
 
     def local_spy(rows, p):
         local.append((len(calls) // len(moduli), p, real_local(rows, p)))  # degree i ranked every modulus
         return local[-1][2]
 
-    monkeypatch.setattr(braid, "_dual_boundary_rows", rows_spy)
+    monkeypatch.setattr(braid, "_dual_boundary_rows", _refuse_full_rows)
     monkeypatch.setattr(braid, "p_local_ranks", local_spy)
     config_homology(k, system, Z, k_max=k)
-    per_degree = [calls[j : j + len(moduli)] for j in range(0, len(calls), len(moduli))]
-    assert len(per_degree) == len(built) == k - 1
-    for i, (below, above) in enumerate(zip(per_degree, per_degree[1:]), start=1):
-        for (_, leads), (rows, _) in zip(below, above):
-            assert len(rows) <= comb(k - 1, i) - len(leads), (i, len(rows))
-        assert len(built[i]) == comb(k - 1, i) - len(set.intersection(*(leads for _, leads in below)))
-    # the certificate sees the same Z_(p) row module as on the full rows
+    assert len(calls) == len(moduli) * (k - 1)
+    for n, (rows, _) in enumerate(calls):
+        i, critical = n // len(moduli) + 1, matchings[moduli[n % len(moduli)]].critical
+        assert len(rows) in (len(critical.get(k - i + 1, ())), len(critical.get(k - i, ()))), (i, n)
     assert local
-    for i, p, got in local:
-        assert got == real_local(list(real_rows(k, system, i).values()), p), (i, p)
+    for i, p, (a, b) in local:
+        assert (matchings[p].pairs[k - i] + a, b) == real_local(list(real_rows(k, s, i).values()), p), (i, p)
+
+
+def test_tables_build_no_full_row(monkeypatch):
+    monkeypatch.setattr(braid, "_dual_boundary_rows", _refuse_full_rows)
+    assert config_homology(20, SIGN, GF(2), k_max=20).dims(20) == loop_space_series(2, 2, 40)[20][20:]
+    table = config_homology(16, TRIVIAL, Z, k_max=16)
+    assert [table.dim_mod(j, 3) for j in range(17)] == loop_space_series(2, 3, 16, TRIVIAL)[16]
+
+
+def test_a_cyclic_matching_is_refused_quickly():
+    # a planted matching splits (1,3), (2,2), (3,1) into (1,1,2), (2,1,1), (1,2,1); each partner's
+    # other face is the next cell, so the flow comes back to where it started
+    s = braid._merge_coefficients(4, SIGN)
+    matching = braid._Matching(4, SIGN, s, 0)
+    matching.scan = {(1, 3): (1, False), (2, 2): (1, False), (3, 1): (0, False),
+                     (1, 1, 2): (1, True), (2, 1, 1): (1, True), (1, 2, 1): (0, True)}.get
+    matching.critical = {3: [(1, 1, 2)], 2: [(2, 2)]}
+    started = time.perf_counter()
+    with pytest.raises(CellModelError, match="cycle"):
+        braid._morse_rows(matching, s, 2, 0)
+    assert time.perf_counter() - started < 1
+
+
+def test_matching_refuses_a_merge_that_is_not_a_unit(monkeypatch):
+    # doubling the signed shuffle sums with a + b >= 9 keeps d^2 = 0 at k = 9, but the F_2 matching
+    # pairs on the merge (1, 8), whose coefficient becomes 2; mod 3 it is still a unit
+    real = braid.shuffle_sum
+    monkeypatch.setattr(braid, "shuffle_sum",
+                        lambda a, b, signed: real(a, b, signed) * (2 if signed and a + b >= 9 else 1))
+    with pytest.raises(CellModelError, match=r"merge \(1, 8\).* not a unit mod 2"):
+        config_homology(9, TRIVIAL, GF(2), k_max=9)
+    with pytest.raises(CellModelError, match="not a unit mod 2"):
+        config_homology(9, TRIVIAL, Z, k_max=9)
+    assert config_homology(9, TRIVIAL, GF(3), k_max=9)
 
 
 def _nonzero_squares(k, rows_by_degree, cell_keys):
@@ -249,7 +327,7 @@ def test_boundary_squared_of_every_built_row_vanishes():
         masks = [[sum(1 << (k - 1 - c) for c in cuts) for cuts in combinations(range(1, k), k - i - 1)]
                  for i in range(k)]
         for system in (TRIVIAL, SIGN):
-            rows = {i: braid._dual_boundary_rows(k, system, i) for i in range(1, k)}
+            rows = {i: _rows(k, system, i) for i in range(1, k)}
             assert [list(rows[i]) for i in range(1, k)] == masks[: k - 1], (k, system)
             rows = {i: list(rows[i].values()) for i in rows}
             assert _nonzero_squares(k, rows, masks) == [], (k, system)
@@ -357,43 +435,53 @@ def test_local_certificate_runs_only_where_there_is_torsion(monkeypatch):
 
 @pytest.mark.parametrize("system", [TRIVIAL, SIGN])
 def test_planted_p_squared_divisor_is_refused(monkeypatch, system):
-    # nine times every degree-2 row: the F_3 rank drops to 0 and no divisor has 3-valuation 0 or 1
-    real = braid._dual_boundary_rows
-    monkeypatch.setattr(braid, "_dual_boundary_rows", lambda k, system, i, skip: {
-        cell: [(key, 9 * v if i == 2 else v) for key, v in row] for cell, row in real(k, system, i, skip).items()})
+    # nine times the Morse rows of a degree where the F_3 Morse differential has positive rank: the
+    # F_3 rank falls to the pairs, and mod 9 no Morse divisor has 3-valuation 0 or 1
+    k, degree = {TRIVIAL: (12, 10), SIGN: (6, 4)}[system]
+    real = braid._morse_rows
+    monkeypatch.setattr(braid, "_morse_rows", lambda matching, s, i, modulus: [
+        [(j, 9 * v if i == degree else v) for j, v in row] for row in real(matching, s, i, modulus)])
     with pytest.raises(CellModelError, match=r"divisible by 3\^2"):
-        config_homology(4, system, Z)
+        config_homology(k, system, Z, k_max=k)
 
 
 def test_sign_tables_match_the_closed_form_by_weight():
     # H_i(C_k; sign x F_p) is weight k, degree i + k of the double loop space of S^3
     for p in (2, 3, 5, 7, 0):
-        rows = loop_space_series(2, p, 32)
-        for k in range(1, 17):
-            got = config_homology(k, SIGN, GF(p) if p else Q, k_max=16)
+        rows = loop_space_series(2, p, 48)
+        for k in range(1, 25):
+            got = config_homology(k, SIGN, GF(p) if p else Q, k_max=24)
             assert got.dims(k) == rows[k][k : 2 * k + 1], (k, p)
 
 
 def test_trivial_tables_match_the_closed_form_by_weight():
     # H_i(C_k; F_p), the braid group's homology, is weight k, degree i at q = 0
     for p in (2, 3, 5, 7, 0):
-        rows = loop_space_series(2, p, 14, TRIVIAL)
-        for k in range(1, 15):
-            got = config_homology(k, TRIVIAL, GF(p) if p else Q, k_max=14)
+        rows = loop_space_series(2, p, 24, TRIVIAL)
+        for k in range(1, 25):
+            got = config_homology(k, TRIVIAL, GF(p) if p else Q, k_max=24)
             assert got.dims(k) == rows[k][: k + 1], (k, p)
+
+
+def _integral_tables_match_the_closed_form(system, ks):
+    # universal coefficients against weight k over Q and each F_p, p <= k; with
+    # exponent-p torsion and no prime above k this fixes the integral table
+    for k in ks:
+        shift = k if system == SIGN else 0
+        table = config_homology(k, system, Z, k_max=k)
+        for p in (0, *(p for p in range(2, k + 1) if is_prime(p))):
+            got = [table.dim_mod(j, p) if p else table.free_rank(j) for j in range(k + 1)]
+            assert got == loop_space_series(2, p, shift + k, system)[k][shift:], (k, system, p)
 
 
 @pytest.mark.parametrize("system", [SIGN, TRIVIAL])
 def test_integral_tables_match_the_closed_form_through_k14(system):
-    # universal coefficients against weight k over Q and each F_p, p <= k; with
-    # exponent-p torsion and no prime above k this fixes the integral table
-    for k in range(1, 15):
-        shift = k if system == SIGN else 0
-        table = config_homology(k, system, Z, k_max=14)
-        for p in (0, 2, 3, 5, 7, 11, 13):
-            if p <= k:
-                got = [table.dim_mod(j, p) if p else table.free_rank(j) for j in range(k + 1)]
-                assert got == loop_space_series(2, p, shift + k, system)[k][shift:], (k, system, p)
+    _integral_tables_match_the_closed_form(system, range(1, 15))
+
+
+@pytest.mark.parametrize("system", [SIGN, TRIVIAL])
+def test_integral_tables_match_the_closed_form_from_k15_to_k24(system):
+    _integral_tables_match_the_closed_form(system, range(15, 25))
 
 
 def test_fox_oracle_matches_cell_model_for_three_strands():
@@ -445,7 +533,7 @@ def test_dual_boundary_rows_are_sparse_and_well_formed():
     for k in range(1, 11):
         for system in (TRIVIAL, SIGN):
             for i in range(1, k):
-                rows = braid._dual_boundary_rows(k, system, i)
+                rows = _rows(k, system, i)
                 assert len(rows) == comb(k - 1, i - 1)
                 cells = combinations(range(1, k), k - i)
                 for row, cuts in zip(rows.values(), cells):

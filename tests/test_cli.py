@@ -303,8 +303,8 @@ def test_failed_self_check_exits_two(tmp_path, capsys, monkeypatch):
 @pytest.fixture
 def planted_shuffle_fault(monkeypatch):
     # doubling the signed shuffle sums with a + b >= 9 keeps d.d = 0 through
-    # k = 10 but adds a Z/2 to H_7(C_9); the trivial closed form sees it, and
-    # the self-check refuses k = 11
+    # k = 10, but the F_2 matching pairs on the merge (1, 8), now even, so the
+    # integral trivial table refuses k = 9 instead of giving a wrong table
     real = braid.shuffle_sum
 
     def planted(a, b, signed):
@@ -316,7 +316,8 @@ def planted_shuffle_fault(monkeypatch):
 def test_planted_shuffle_fault_fails_verify_cells(tmp_path, capsys, planted_shuffle_fault):
     code, out, _ = run(capsys, "verify", "cells", "--cache-dir", str(tmp_path))
     assert code == 2
-    assert "FAIL cells.closed_form_trivial_k9" in out
+    assert "PASS cells.closed_form_sign_k8" in out
+    assert "FAIL cells.CellModelError" in out and "not a unit mod 2" in out
 
 
 def test_refused_suite_keeps_the_checks_before_the_refusal(tmp_path, capsys, planted_shuffle_fault):
@@ -325,14 +326,14 @@ def test_refused_suite_keeps_the_checks_before_the_refusal(tmp_path, capsys, pla
     checks = [" ".join(line.split()[:2]) for line in out.splitlines()]
     assert checks == (
         [f"PASS splitting.d{d}" for d in range(2, 9)]
-        + ["FAIL splitting.d9", "FAIL splitting.d10", "FAIL splitting.CellModelError", "FAIL verify:splitting"]
+        + ["FAIL splitting.CellModelError", "FAIL verify:splitting"]
     )
 
 
 def test_verify_all_reports_every_suite_past_a_refusal(tmp_path, capsys, planted_shuffle_fault):
     code, out, err = run(capsys, "verify", "all", "--cache-dir", str(tmp_path))
     assert code == 2
-    assert "FAIL cells.closed_form_trivial_k9" in out
+    assert "FAIL cells.CellModelError" in out
     assert "FAIL splitting.CellModelError" in out and "self-check failed" in out
     lines = out.splitlines()
     assert lines[-1] == "FAIL verify:all"
@@ -438,10 +439,11 @@ def test_failed_local_certificate_exits_two(capsys, monkeypatch):
 
 
 def test_planted_p_squared_divisor_exits_two(capsys, monkeypatch):
-    real = braid._dual_boundary_rows
-    monkeypatch.setattr(braid, "_dual_boundary_rows", lambda k, system, i, skip: {
-        cell: [(key, 9 * v if i == 2 else v) for key, v in row] for cell, row in real(k, system, i, skip).items()})
-    code, out, err = run(capsys, "betti", "--d", "8", "--m", "1", "--n", "2", "--json")
+    # nine times the degree-4 Morse rows, where the F_3 Morse differential of C_6 has rank 1
+    real = braid._morse_rows
+    monkeypatch.setattr(braid, "_morse_rows", lambda matching, s, i, modulus: [
+        [(j, 9 * v if i == 4 else v) for j, v in row] for row in real(matching, s, i, modulus)])
+    code, out, err = run(capsys, "betti", "--d", "12", "--m", "1", "--n", "2", "--json")
     assert code == 2
     assert "divisible by 3^2" in json.loads(out)["error"]["message"]
     assert "Traceback" not in err
