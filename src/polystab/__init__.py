@@ -16,49 +16,27 @@ The package computes, with no floating point anywhere:
 
 __version__ = "0.1.0"
 
-from .abelian import AbelianGroup, GradedAbelianGroup, invariant_factors
-from .braid import (
-    DEFAULT_K_MAX,
-    SIGN,
-    TRIVIAL,
-    CellModelError,
-    config_homology,
-    dk_homology,
-    dual_fn_complex,
-    shuffle_sum,
-)
-from .cache import BraidHomologyKey, HomologyCache, default_cache_dir
-from .complexes import ChainComplex, complex_homology
-from .ffield import (
-    FpTuple,
-    closed_form_count,
-    count_points,
-    is_member,
-    max_common_multiplicity,
-    squarefree_multiplicities,
-)
-from .jets import (
-    JetEquivalenceReport,
-    QTuple,
-    jet_equivalence_check,
-    jet_map,
-    q_membership_hol,
-    q_membership_poly,
-)
-from .linalg import IntMatrix, SmithForm, smith_normal_form
-from .poly import Poly, poly_gcd
-from .rings import GF, Q, Ring, Z, parse_ring
-from .spaces import (
-    E1Page,
-    HomologyTable,
-    Params,
-    PoincareSeries,
-    e1_page_hol,
-    e1_page_poly,
-    hol_homology,
-    omega_series,
-    poly_homology,
-    stability_dimension,
-)
+# Exports resolve on first use (PEP 562): a caller loads only the modules it touches.
+_EXPORTS = {
+    "abelian": "AbelianGroup GradedAbelianGroup invariant_factors",
+    "braid": "DEFAULT_K_MAX SIGN TRIVIAL CellModelError config_homology dk_homology dual_fn_complex shuffle_sum",
+    "cache": "BraidHomologyKey HomologyCache default_cache_dir",
+    "complexes": "ChainComplex complex_homology",
+    "ffield": "FpTuple closed_form_count count_points is_member max_common_multiplicity squarefree_multiplicities",
+    "jets": "JetEquivalenceReport QTuple jet_equivalence_check jet_map q_membership_hol q_membership_poly",
+    "linalg": "IntMatrix SmithForm smith_normal_form",
+    "poly": "Poly poly_gcd",
+    "rings": "GF Q Ring Z parse_ring",
+    "spaces": "E1Page HomologyTable Params PoincareSeries e1_page_hol e1_page_poly hol_homology "
+    "omega_series poly_homology stability_dimension",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = sorted([*_EXPORTS, *_HOME])
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+
+def __getattr__(name: str):
+    if name not in _EXPORTS and name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    module = import_module(f"{__name__}.{_HOME.get(name, name)}")
+    return module if name in _EXPORTS else getattr(module, name)

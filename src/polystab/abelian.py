@@ -9,8 +9,9 @@ no torsion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
+
+from .rings import Value
 
 
 def _factor(n: int) -> dict[int, int]:
@@ -55,12 +56,11 @@ def invariant_factors(orders: Iterable[int]) -> tuple[int, ...]:
     return tuple(slots)
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(Value):
     """Z^free_rank plus cyclic factors Z/t for t in ``torsion`` (each divides the next)."""
 
-    free_rank: int = 0
-    torsion: tuple[int, ...] = ()
+    __slots__ = ("free_rank", "torsion")
+    _defaults = {"free_rank": 0, "torsion": ()}
 
     def __post_init__(self) -> None:
         if self.free_rank < 0:

@@ -99,7 +99,6 @@ the pairs count toward its a.
 from __future__ import annotations
 
 from itertools import combinations
-from fractions import Fraction
 from math import comb, lcm
 
 from .abelian import AbelianGroup, GradedAbelianGroup
@@ -327,6 +326,8 @@ def _flow(matching: _Matching, starts, neighbours, upward: bool, modulus: int):
         return [((d, left - cost), w) for d, w in pairs if (cost := p > 0 and w % p == 0) <= left]
 
     for start in starts:
+        if not modulus:  # only a Q flow that runs needs fractions, so the other tables do not load them
+            from fractions import Fraction
         row = {}
         for state, v in steps(neighbours(start), room):
             stack = [state]

@@ -13,24 +13,20 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import warnings
-from dataclasses import dataclass
 from math import prod
 from pathlib import Path
 
 from .abelian import GradedAbelianGroup
-from .rings import is_prime
+from .rings import Value, is_prime
 
 CACHE_FORMAT = "polystab-braid-homology"
 CACHE_VERSION = 1
 ENV_CACHE_DIR = "POLYSTAB_CACHE"
 
 
-@dataclass(frozen=True)
-class BraidHomologyKey:
-    k: int
-    system: str
+class BraidHomologyKey(Value):
+    __slots__ = ("k", "system")
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -101,6 +97,7 @@ class HomologyCache:
         return value
 
     def put(self, key: BraidHomologyKey, value: GradedAbelianGroup) -> None:
+        import tempfile  # only a cache write needs it: a read or a field table skips its ~4 ms import
         self.directory.mkdir(parents=True, exist_ok=True)
         doc = {
             "format": CACHE_FORMAT,

@@ -13,14 +13,12 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 from math import log10
 from pathlib import Path
 
-from . import __version__, braid, ffield, jets, spaces, verify
+from . import __version__, braid, spaces
 from .cache import HomologyCache, default_cache_dir
-from .poly import Poly
-from .rings import Ring, is_prime, parse_ring
+from .rings import is_prime, parse_ring  # ffield, jets, poly and verify load in the commands that run them
 
 SCHEMA_VERSION = 1
 
@@ -169,6 +167,7 @@ def _cmd_stability_dim(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    from . import ffield
     d, m, n, p = args.d, args.m, args.n, args.p
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -182,7 +181,8 @@ def _cmd_count(args) -> int:
     result: dict = {}
     lines = []
     if args.mode in ("brute", "both"):
-        result["brute"] = ffield.count_points(args.d, args.m, args.n, args.p, budget=args.budget)
+        budget = {} if args.budget is None else {"budget": args.budget}
+        result["brute"] = ffield.count_points(args.d, args.m, args.n, args.p, **budget)
         lines.append(f"brute {result['brute']}")
     if args.mode in ("formula", "both"):
         result["formula"] = ffield.closed_form_count(args.d, args.m, args.n, args.p)
@@ -204,6 +204,7 @@ def _cmd_count(args) -> int:
 
 
 def _parse_rational(text: str) -> Fraction:
+    import fractions  # a plain import of a loaded module is ~10x cheaper than a from-import
     text = text.strip()
     # Fraction expands a decimal exponent exactly: bound it as str() bounds digits
     exponent = re.search(r"[eE]([-+]?\d+(?:_\d+)*)$", text)
@@ -211,7 +212,7 @@ def _parse_rational(text: str) -> Fraction:
     if exponent and abs(float(exponent[1])) >= bound:
         raise ValueError(f"decimal exponent of {text!r} exceeds the bound: its magnitude must be below {bound}")
     try:
-        return Fraction(text)
+        return fractions.Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"coefficient {text!r} has a zero denominator") from None
 
@@ -219,6 +220,8 @@ def _parse_rational(text: str) -> Fraction:
 def parse_tuple_line(line: str, n: int) -> jets.QTuple:
     """One tuple per line; polynomials split by ';', coefficients (constant
     term first) split by ',', each an exact rational like '-3' or '1/2'."""
+    from . import jets
+    from .poly import Poly
     blocks = [b for b in line.strip().split(";") if b.strip()]
     if not blocks:
         raise ValueError("empty tuple line")
@@ -241,6 +244,7 @@ def _format_qpoly(f: Poly) -> list[str]:
 
 
 def _cmd_jet(args) -> int:
+    from . import jets
     if args.input:
         text = Path(args.input).read_text(encoding="utf-8")
     else:
@@ -278,6 +282,7 @@ def _cmd_jet(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
     cache = _resolve_cache(args)
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     reports = [verify.run_suite(name, cache) for name in names]
@@ -360,8 +365,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--mode", choices=["brute", "formula", "both"], default="both")
-    p.add_argument("--budget", type=int, default=ffield.DEFAULT_ENUMERATION_BUDGET,
-                   help="most monic first entries (p^d of them) to sieve (default %(default)s)")
+    p.add_argument("--budget", type=int, help="most monic first entries (p^d of them) to sieve (default 10^5)")
     common(p, k_max=False, ring=False)
     p.set_defaults(func=_cmd_count)
 
@@ -372,7 +376,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_jet)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", nargs="?", default="all", help=f"one of: {', '.join(sorted(verify.SUITES))}, all")
+    p.add_argument("suite", nargs="?", default="all", help="a suite name, or all; an unknown name lists the suites")
     common(p, k_max=False, ring=False)
     p.set_defaults(func=_cmd_verify)
 

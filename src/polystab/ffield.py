@@ -16,11 +16,10 @@ that shares no step with the h^n * g factorisation of :func:`closed_form_count`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 
 from .poly import Poly, _poly, poly_gcd
-from .rings import is_prime
+from .rings import Value, is_prime
 
 DEFAULT_ENUMERATION_BUDGET = 10**5
 
@@ -60,15 +59,10 @@ def squarefree_multiplicities(f: Poly) -> dict[int, Poly]:
     return out
 
 
-@dataclass(frozen=True)
-class FpTuple:
+class FpTuple(Value):
     """m monic polynomials of common degree d over F_p, with multiplicity bound n."""
 
-    entries: tuple[Poly, ...]
-    d: int
-    m: int
-    n: int
-    p: int
+    __slots__ = ("entries", "d", "m", "n", "p")
 
     def __post_init__(self) -> None:
         if self.m != len(self.entries) or self.m < 1:

@@ -14,22 +14,18 @@ fields are handled by factorization in :mod:`polystab.ffield`).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .poly import Poly, poly_gcd
+from .rings import Value
 
 # share of random_tuple_suite's tuples built with a common root of multiplicity n
 DEGENERATE_RATE = 0.35
 
 
-@dataclass(frozen=True)
-class QTuple:
+class QTuple(Value):
     """m monic rational polynomials of common degree d, multiplicity bound n."""
 
-    entries: tuple[Poly, ...]
-    d: int
-    m: int
-    n: int
+    __slots__ = ("entries", "d", "m", "n")
 
     def __post_init__(self) -> None:
         if self.m != len(self.entries) or self.m < 1:
@@ -91,11 +87,8 @@ def q_membership_hol(polys) -> bool:
     return g.degree == 0
 
 
-@dataclass(frozen=True)
-class JetEquivalenceReport:
-    poly_member: bool
-    jet_hol_member: bool
-    jet: tuple[Poly, ...]
+class JetEquivalenceReport(Value):
+    __slots__ = ("poly_member", "jet_hol_member", "jet")
 
     @property
     def agree(self) -> bool:

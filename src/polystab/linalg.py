@@ -11,8 +11,9 @@ it; Smith normal form is the dense oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+
+from .rings import Value
 
 # Dense Smith normal form refuses once an entry outgrows this many bits: the
 # k <= 9 cell complexes peak near 11,700, while at k = 10 (sign) the entries
@@ -79,12 +80,10 @@ class IntMatrix:
         return f"IntMatrix({self.rows}x{self.cols})"
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(Value):
     """Invariant factors of an integer matrix; rank is their count."""
 
-    invariant_factors: tuple[int, ...]
-    rank: int
+    __slots__ = ("invariant_factors", "rank")
 
     def __post_init__(self) -> None:
         if self.rank != len(self.invariant_factors):

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from operator import attrgetter
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # Smallest strong pseudoprime to all of the bases above (Sorenson-Webster 2015):
@@ -43,12 +42,62 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Ring:
+class Value:
+    """Base of the package's immutable records: the fields are the ``__slots__`` (two
+    or more), with defaults in ``_defaults``.  Instances run ``__post_init__``, compare,
+    hash and print by value, refuse assignment and pickle; :meth:`replace` copies one
+    with fields changed."""
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls) -> None:
+        if len(cls.__slots__) < 2:  # attrgetter returns a bare value for one name
+            raise TypeError(f"{cls.__name__} needs two or more fields in __slots__")
+        cls._values = attrgetter(*cls.__slots__)
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__slots__
+        if kwargs or len(args) != len(fields):  # fill in keywords and defaults
+            named = dict(zip(fields, args))
+            given = {**self._defaults, **named, **kwargs}
+            if len(args) > len(fields) or not named.keys().isdisjoint(kwargs) or given.keys() != set(fields):
+                raise TypeError(f"{type(self).__name__} takes each of the fields {', '.join(fields)} once")
+            args = [given[field] for field in fields]
+        for field, value in zip(fields, args):
+            object.__setattr__(self, field, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def replace(self, **changes):
+        return type(self)(**{**dict(zip(self.__slots__, self._values(self))), **changes})
+
+    def __eq__(self, other):
+        return self._values(self) == self._values(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{field}={value!r}" for field, value in zip(self.__slots__, self._values(self)))
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # the default unpickling would assign the slots
+        return type(self), self._values(self)
+
+
+class Ring(Value):
     """One of Z, Q, or F_p, identified by its label ("Z", "Q", "F<p>")."""
 
-    label: str
-    p: int | None = None
+    __slots__ = ("label", "p")
+    _defaults = {"p": None}
 
     @property
     def is_field(self) -> bool:

@@ -12,23 +12,18 @@ series of the limiting double loop space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
 from .abelian import AbelianGroup, GradedAbelianGroup
 from .braid import DEFAULT_K_MAX, SIGN, config_homology, dk_homology
 from .cache import HomologyCache
-from .rings import Ring, Z
+from .rings import Ring, Value, Z
 
 MN2_NOTE = "mn=2: identification with the limit space is stable/homology-level only"
 
 
-@dataclass(frozen=True)
-class Params:
+class Params(Value):
     """Degree d, tuple length m, multiplicity bound n; (m, n) = (1, 1) is excluded."""
 
-    d: int
-    m: int
-    n: int
+    __slots__ = ("d", "m", "n")
 
     def __post_init__(self) -> None:
         if self.d < 1 or self.m < 1 or self.n < 1:
@@ -45,25 +40,21 @@ class Params:
         return self.d // self.n
 
 
-@dataclass(frozen=True)
-class HomologyTable:
+class HomologyTable(Value):
     """A complete graded homology answer (zero above the top recorded degree)
     with its ring and metadata notes."""
 
-    groups: GradedAbelianGroup
-    ring: Ring
-    notes: tuple[str, ...] = ()
+    __slots__ = ("groups", "ring", "notes")
+    _defaults = {"notes": ()}
 
     def dims(self, through: int) -> list[int]:
         return self.groups.dims(through)
 
 
-@dataclass(frozen=True)
-class PoincareSeries:
+class PoincareSeries(Value):
     """Coefficients of a homology Poincare series, exact through ``truncation``."""
 
-    coefficients: tuple[int, ...]
-    truncation: int
+    __slots__ = ("coefficients", "truncation")
 
     def __post_init__(self) -> None:
         if len(self.coefficients) != self.truncation + 1:
@@ -100,7 +91,7 @@ def poly_homology(
     """
     p = Params(d, m, n)
     table = hol_homology(p.top_summand, p.mn, ring, k_max=k_max, cache=cache)
-    return replace(table, notes=(MN2_NOTE,)) if p.mn == 2 else table
+    return table.replace(notes=(MN2_NOTE,)) if p.mn == 2 else table
 
 
 def hol_homology(
@@ -133,8 +124,7 @@ def hol_homology(
     return HomologyTable(total, ring)
 
 
-@dataclass(frozen=True)
-class E1Page:
+class E1Page(Value):
     """First page of the discriminant spectral sequence, stored sparsely.
 
     Nonzero entries sit at (0, 0) and in columns 1 <= k <= k_top, where the
@@ -142,10 +132,10 @@ class E1Page:
     s - twist*k; that degree lives in 0..k-1, so each column is finite.
     """
 
-    ring: Ring
-    k_top: int
-    twist: int  # 2(N-1); 2(mn-1) for the tuple space
-    entries: dict[tuple[int, int], AbelianGroup] = field(repr=False)
+    __slots__ = ("ring", "k_top", "twist", "entries")  # twist: 2(N-1); 2(mn-1) for the tuple space
+
+    def __repr__(self) -> str:  # without the entries, which can run to thousands
+        return f"E1Page(ring={self.ring!r}, k_top={self.k_top!r}, twist={self.twist!r})"
 
     def entry(self, k: int, s: int) -> AbelianGroup:
         return self.entries.get((k, s), AbelianGroup())

@@ -16,21 +16,16 @@ sign, against it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Iterator
+from collections.abc import Iterator
 
 from . import braid, ffield, jets, spaces
 from .abelian import AbelianGroup, GradedAbelianGroup
 from .cache import HomologyCache
-from .rings import GF, Q, Z, is_prime
+from .rings import GF, Q, Value, Z, is_prime
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-    seconds: float
+class CheckResult(Value):
+    __slots__ = ("name", "passed", "detail", "seconds")
 
     def to_payload(self) -> dict:
         return {
@@ -41,10 +36,10 @@ class CheckResult:
         }
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    results: list[CheckResult] = field(default_factory=list)
+    def __init__(self, suite: str):
+        self.suite = suite
+        self.results: list[CheckResult] = []
 
     @property
     def passed(self) -> bool:

@@ -125,6 +125,12 @@ def test_count_refuses_a_budget_below_one(capsys):
     assert (code, out, err) == (1, "", "polystab: error: budget must be positive\n")
 
 
+def test_count_help_names_the_default_budget(capsys):
+    code, out, _ = run(capsys, "count", "--help")
+    assert code == 0 and ffield.DEFAULT_ENUMERATION_BUDGET == 10**5
+    assert "(default 10^5)" in " ".join(out.split())
+
+
 def test_planted_sieve_fault_fails_count_and_verify(tmp_path, capsys, monkeypatch):
     # without the degree-2 irreducibles, (z^2 + 1)^2 and its kin count as members
     real = ffield._monic_irreducibles
@@ -399,6 +405,10 @@ def test_benchmark_tracer_binds_package_layers(tmp_path):
         (("count", "--d", "2", "--m", "2", "--n", "2", "--p", "3"), None,
          {"ffield.count_points", "ffield.closed_form"}),
         (("jet", "--n", "2"), "0,0,1\n", {"jets.check"}),
+        (("e1", "--flavor", "poly", "--d", "6", "--m", "1", "--n", "2", "--ring", "f2"), None,
+         {"spaces.e1_page_poly", "braid.config_homology"}),
+        (("stable-series", "--n", "2", "--through", "8", "--ring", "q"), None,
+         {"spaces.omega_series", "braid.dk_homology"}),
     ]
     for argv, stdin, spans in cases:
         spans_file = tmp_path / "spans"
@@ -409,6 +419,73 @@ def test_benchmark_tracer_binds_package_layers(tmp_path):
         assert done.returncode == 0, done.stderr
         names = {span[0] for span in marshal.loads(spans_file.read_bytes())["spans"]}
         assert spans <= names, argv
+
+
+# Run one command in a fresh interpreter and report the modules it loaded beyond start-up.
+LOADED_BY = """
+import json, sys
+before = set(sys.modules)
+from polystab.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(set(sys.modules) - before)]))
+"""
+
+
+@pytest.mark.parametrize("argv, stdin, table", [
+    (("stability-dim", "--d", "4", "--m", "1", "--n", "2"), None, True),
+    (("betti", "--d", "8", "--m", "1", "--n", "2"), None, True),
+    (("e1", "--flavor", "hol", "--d", "6", "--n", "2", "--ring", "f2"), None, True),
+    (("count", "--d", "2", "--m", "2", "--n", "2", "--p", "3"), None, False),
+    (("jet", "--n", "2"), "0,0,1\n-1,0,1\n", False),
+], ids=["stability-dim", "betti-z", "e1-f2", "count", "jet"])
+def test_commands_load_only_the_layers_they_run(tmp_path, argv, stdin, table):
+    done = run_process("-c", LOADED_BY, *argv, "--json", "--cache-dir", str(tmp_path), stdin=stdin)
+    code, loaded = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0, done.stderr
+    assert not {"dataclasses", "inspect"} & set(loaded)
+    if table:
+        assert not {"fractions", "polystab.verify", "polystab.jets"} & set(loaded)
+
+
+# each export's home module, as the package imported them eagerly
+EXPORT_HOMES = {
+    "abelian": "AbelianGroup GradedAbelianGroup invariant_factors",
+    "braid": "DEFAULT_K_MAX SIGN TRIVIAL CellModelError config_homology dk_homology dual_fn_complex shuffle_sum",
+    "cache": "BraidHomologyKey HomologyCache default_cache_dir",
+    "complexes": "ChainComplex complex_homology",
+    "ffield": "FpTuple closed_form_count count_points is_member max_common_multiplicity squarefree_multiplicities",
+    "jets": "JetEquivalenceReport QTuple jet_equivalence_check jet_map q_membership_hol q_membership_poly",
+    "linalg": "IntMatrix SmithForm smith_normal_form",
+    "poly": "Poly poly_gcd",
+    "rings": "GF Q Ring Z parse_ring",
+    "spaces": "E1Page HomologyTable Params PoincareSeries e1_page_hol e1_page_poly hol_homology "
+              "omega_series poly_homology stability_dimension",
+}
+
+
+def test_package_exports_resolve_to_their_home_objects():
+    import importlib
+
+    import polystab
+
+    homes = {name: module for module, names in EXPORT_HOMES.items() for name in names.split()}
+    assert polystab.__all__ == sorted([*EXPORT_HOMES, *homes])
+    for name in polystab.__all__:
+        module = importlib.import_module(f"polystab.{homes.get(name, name)}")
+        assert getattr(polystab, name) is (getattr(module, name) if name in homes else module), name
+    star: dict = {}
+    exec("from polystab import *", star)
+    assert all(star[name] is getattr(polystab, name) for name in polystab.__all__)
+    with pytest.raises(AttributeError, match="no attribute 'missing'"):
+        polystab.missing  # noqa: B018
+    with pytest.raises(ImportError):
+        exec("from polystab import missing", {})
+
+
+def test_importing_the_package_loads_no_module_of_it():
+    done = run_process("-c", "import sys, polystab; print(sorted(m for m in sys.modules if m.startswith('polystab.')))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("argv", [
