@@ -103,9 +103,8 @@ from math import comb, lcm
 
 from .abelian import AbelianGroup, GradedAbelianGroup
 from .cache import BraidHomologyKey, HomologyCache
-from .complexes import ChainComplex, complex_homology  # noqa: F401  kept: perfbench/tracer.py wraps it by name
-from .linalg import IntMatrix, p_local_ranks, rank_int_rows, rank_mod_p_rows
-from .rings import Ring, Z, is_prime
+from .linalg import p_local_ranks, rank_int_rows, rank_mod_p_rows
+from .rings import CellModelError, Ring, Z, is_prime
 
 TRIVIAL = "trivial"
 SIGN = "sign"
@@ -113,8 +112,11 @@ SIGN = "sign"
 DEFAULT_K_MAX = 10
 
 
-class CellModelError(RuntimeError):
-    """The cell model failed its boundary-squared self-check or an integral table its local certificate."""
+def __getattr__(name: str):  # PEP 562: only perfbench/tracer.py wraps braid.complex_homology (ROADMAP item 1)
+    if name == "complex_homology":
+        from .complexes import complex_homology
+        return complex_homology
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _check_system(system: str) -> None:
@@ -156,6 +158,8 @@ def dual_fn_complex(k: int, system: str, k_max: int = DEFAULT_K_MAX) -> ChainCom
     rank-one system.  Construction raises :class:`CellModelError` if the
     boundary-squared self-check fails.
     """
+    from .complexes import ChainComplex  # the dense oracle: no table command loads it
+    from .linalg import IntMatrix
     _check_k(k, k_max)
     _check_system(system)
     s = _merge_coefficients(k, system)

@@ -16,11 +16,11 @@ import sys
 from math import log10
 from pathlib import Path
 
-from . import __version__, braid, spaces
-from .cache import HomologyCache, default_cache_dir
-from .rings import is_prime, parse_ring  # ffield, jets, poly and verify load in the commands that run them
+from . import __version__
+from .rings import CellModelError, is_prime, parse_ring  # each command loads the layers it runs
 
 SCHEMA_VERSION = 1
+COMMANDS = ("betti", "hol-betti", "e1", "stable-series", "stability-dim", "count", "jet", "verify", "cache")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,6 +66,7 @@ def _report(command: str, parameters: dict, result: dict, exactness, notes=()) -
 
 
 def _resolve_cache(args) -> HomologyCache:
+    from .cache import HomologyCache, default_cache_dir
     directory = getattr(args, "cache_dir", None)
     path = Path(directory) if directory else default_cache_dir()
     return HomologyCache(path)
@@ -85,6 +86,7 @@ def _table_lines(header: str, table: spaces.HomologyTable) -> list[str]:
 
 
 def _cmd_table(args) -> int:
+    from . import spaces
     cache = _resolve_cache(args)
     ring = parse_ring(args.ring)
     if args.command == "betti":
@@ -107,6 +109,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_e1(args) -> int:
+    from . import spaces
     cache = _resolve_cache(args)
     ring = parse_ring(args.ring)
     if args.flavor == "poly":
@@ -138,6 +141,7 @@ def _cmd_e1(args) -> int:
 
 
 def _cmd_stable_series(args) -> int:
+    from . import spaces
     cache = _resolve_cache(args)
     ring = parse_ring(args.ring)
     series = spaces.omega_series(args.n, ring, args.through, k_max=args.k_max, cache=cache)
@@ -159,6 +163,7 @@ def _cmd_stable_series(args) -> int:
 
 
 def _cmd_stability_dim(args) -> int:
+    from . import spaces
     value = spaces.stability_dimension(args.d, args.m, args.n)
     params = {"d": args.d, "m": args.m, "n": args.n}
     payload = _report("stability-dim", params, {"dimension": value}, "complete")
@@ -312,91 +317,93 @@ def _cmd_cache(args) -> int:
     return 0
 
 
-def build_parser() -> _Parser:
+def build_parser(argv=()) -> _Parser:
+    """The parser; when ``argv`` starts with a command, it holds only that command's subparser."""
+    only = argv[0] if argv and argv[0] in COMMANDS else None
     parser = _Parser(prog="polystab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"polystab {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # with one subparser, the usage line of an error past the command still names every command
+    sub = parser.add_subparsers(dest="command", required=True, metavar=only and "{%s}" % ",".join(COMMANDS))
+
+    def add(name, help_text, func):
+        if only in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            p.set_defaults(func=func)
+            return p
 
     def common(p, k_max=True, ring=True):
         p.add_argument("--json", action="store_true", help="emit one canonical JSON document")
         p.add_argument("--cache-dir", help="homology cache directory (else POLYSTAB_CACHE, else platform default)")
         if k_max:
-            p.add_argument("--k-max", type=int, default=braid.DEFAULT_K_MAX, help="largest supported summand index")
+            from .braid import DEFAULT_K_MAX
+            p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX, help="largest supported summand index")
         if ring:
             p.add_argument("--ring", default="z", help="coefficients: z, q, or f<prime>")
 
-    p = sub.add_parser("betti", help="homology of the polynomial-tuple space")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-    p.set_defaults(func=_cmd_table)
+    if p := add("betti", "homology of the polynomial-tuple space", _cmd_table):
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--n", type=int, required=True)
+        common(p)
 
-    p = sub.add_parser("hol-betti", help="homology of the based rational-map space")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True, help="target projective space has n-1 complex dimensions")
-    common(p)
-    p.set_defaults(func=_cmd_table)
+    if p := add("hol-betti", "homology of the based rational-map space", _cmd_table):
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--n", type=int, required=True, help="target projective space has n-1 complex dimensions")
+        common(p)
 
-    p = sub.add_parser("e1", help="first page of the discriminant spectral sequence")
-    p.add_argument("--flavor", choices=["poly", "hol"], required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--m", type=int, help="poly flavor only")
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-    p.set_defaults(func=_cmd_e1)
+    if p := add("e1", "first page of the discriminant spectral sequence", _cmd_e1):
+        p.add_argument("--flavor", choices=["poly", "hol"], required=True)
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--m", type=int, help="poly flavor only")
+        p.add_argument("--n", type=int, required=True)
+        common(p)
 
-    p = sub.add_parser("stable-series", help="series of the limiting double loop space")
-    p.add_argument("--n", type=int, required=True, help="sphere parameter: the space is the double loops of S^(2n-1)")
-    p.add_argument("--through", type=int, required=True)
-    common(p)
-    p.set_defaults(func=_cmd_stable_series)
+    if p := add("stable-series", "series of the limiting double loop space", _cmd_stable_series):
+        p.add_argument("--n", type=int, required=True, help="sphere parameter: the space is the double loops of S^(2n-1)")
+        p.add_argument("--through", type=int, required=True)
+        common(p)
 
-    p = sub.add_parser("stability-dim", help="stability dimension (2mn-3)(floor(d/n)+1)-1")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    common(p, k_max=False, ring=False)
-    p.set_defaults(func=_cmd_stability_dim)
+    if p := add("stability-dim", "stability dimension (2mn-3)(floor(d/n)+1)-1", _cmd_stability_dim):
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--n", type=int, required=True)
+        common(p, k_max=False, ring=False)
 
-    p = sub.add_parser("count", help="point counts over a prime field")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--mode", choices=["brute", "formula", "both"], default="both")
-    p.add_argument("--budget", type=int, help="most monic first entries (p^d of them) to sieve (default 10^5)")
-    common(p, k_max=False, ring=False)
-    p.set_defaults(func=_cmd_count)
+    if p := add("count", "point counts over a prime field", _cmd_count):
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--p", type=int, required=True)
+        p.add_argument("--mode", choices=["brute", "formula", "both"], default="both")
+        p.add_argument("--budget", type=int, help="most monic first entries (p^d of them) to sieve (default 10^5)")
+        common(p, k_max=False, ring=False)
 
-    p = sub.add_parser("jet", help="jet map and membership for exact rational tuples")
-    p.add_argument("--n", type=int, required=True, help="multiplicity bound")
-    p.add_argument("--input", help="file of tuples, one per line (default: stdin)")
-    common(p, k_max=False, ring=False)
-    p.set_defaults(func=_cmd_jet)
+    if p := add("jet", "jet map and membership for exact rational tuples", _cmd_jet):
+        p.add_argument("--n", type=int, required=True, help="multiplicity bound")
+        p.add_argument("--input", help="file of tuples, one per line (default: stdin)")
+        common(p, k_max=False, ring=False)
 
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", nargs="?", default="all", help="a suite name, or all; an unknown name lists the suites")
-    common(p, k_max=False, ring=False)
-    p.set_defaults(func=_cmd_verify)
+    if p := add("verify", "run a verification suite", _cmd_verify):
+        p.add_argument("suite", nargs="?", default="all", help="a suite name, or all; an unknown name lists the suites")
+        common(p, k_max=False, ring=False)
 
-    p = sub.add_parser("cache", help="cache administration")
-    p.add_argument("action", choices=["stats", "clear"])
-    common(p, k_max=False, ring=False)
-    p.set_defaults(func=_cmd_cache)
+    if p := add("cache", "cache administration", _cmd_cache):
+        p.add_argument("action", choices=["stats", "clear"])
+        common(p, k_max=False, ring=False)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OSError, braid.CellModelError) as exc:
+    except (ValueError, OSError, CellModelError) as exc:
         message = str(exc)
         print(f"polystab: error: {message}", file=sys.stderr)
         if getattr(args, "json", False):
@@ -406,7 +413,7 @@ def main(argv: list[str] | None = None) -> int:
                 "error": {"message": message},
             }
             sys.stdout.write(canonical_json(doc) + "\n")
-        return 2 if isinstance(exc, braid.CellModelError) else 1
+        return 2 if isinstance(exc, CellModelError) else 1
 
 
 if __name__ == "__main__":

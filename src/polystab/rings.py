@@ -10,6 +10,10 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MILLER_RABIN_BOUND = 3317044064679887385961981
 
 
+class CellModelError(RuntimeError):  # here so the CLI can catch it without loading the engine
+    """The cell model failed its boundary-squared self-check or an integral table its local certificate."""
+
+
 def is_prime(n: int) -> bool:
     """Exact primality: trial division by the primes up to 41, then Miller-Rabin
     with those 13 bases.  Raises ValueError past :data:`MILLER_RABIN_BOUND`

@@ -431,20 +431,53 @@ print(json.dumps([code, sorted(set(sys.modules) - before)]))
 """
 
 
-@pytest.mark.parametrize("argv, stdin, table", [
-    (("stability-dim", "--d", "4", "--m", "1", "--n", "2"), None, True),
-    (("betti", "--d", "8", "--m", "1", "--n", "2"), None, True),
-    (("e1", "--flavor", "hol", "--d", "6", "--n", "2", "--ring", "f2"), None, True),
-    (("count", "--d", "2", "--m", "2", "--n", "2", "--p", "3"), None, False),
-    (("jet", "--n", "2"), "0,0,1\n-1,0,1\n", False),
-], ids=["stability-dim", "betti-z", "e1-f2", "count", "jet"])
-def test_commands_load_only_the_layers_they_run(tmp_path, argv, stdin, table):
+@pytest.mark.parametrize("argv, stdin, kind", [
+    (("stability-dim", "--d", "4", "--m", "1", "--n", "2"), None, "table"),
+    (("betti", "--d", "8", "--m", "1", "--n", "2"), None, "table"),
+    (("e1", "--flavor", "hol", "--d", "6", "--n", "2", "--ring", "f2"), None, "table"),
+    (("cache", "stats"), None, "cache"),
+    (("count", "--d", "2", "--m", "2", "--n", "2", "--p", "3"), None, "ffield"),
+    (("jet", "--n", "2"), "0,0,1\n-1,0,1\n", "jets"),
+], ids=["stability-dim", "betti-z", "e1-f2", "cache-stats", "count", "jet"])
+def test_commands_load_only_the_layers_they_run(tmp_path, argv, stdin, kind):
     done = run_process("-c", LOADED_BY, *argv, "--json", "--cache-dir", str(tmp_path), stdin=stdin)
     code, loaded = json.loads(done.stdout.splitlines()[-1])
     assert code == 0, done.stderr
-    assert not {"dataclasses", "inspect"} & set(loaded)
-    if table:
+    # the dense oracle (complexes) runs only in verify cells
+    assert not {"dataclasses", "inspect", "polystab.complexes"} & set(loaded)
+    if kind in ("table", "cache"):
         assert not {"fractions", "polystab.verify", "polystab.jets"} & set(loaded)
+    if kind == "cache":
+        assert not {"polystab.braid", "polystab.spaces", "polystab.linalg"} & set(loaded)
+    if kind in ("ffield", "jets"):  # the arithmetic oracles load none of the homology engine
+        package = {name for name in loaded if name.startswith("polystab.")}
+        assert package == {"polystab.cli", "polystab.rings", "polystab.poly", f"polystab.{kind}"}
+
+
+# every way the top-level parser can answer without running a command
+PARSER_SURFACE = [
+    (), ("--help",), ("-h", "betti"), ("--version",), ("--version", "count"), ("bogus",), ("--json", "betti"),
+    ("betti",), ("betti", "--d", "2", "--m", "2", "--n", "2", "--bogus"), ("e1", "--flavor", "x"),
+    ("cache", "frob"), ("count", "--d", "1", "--m", "1", "--n", "1", "--p", "3", "extra"),
+    *((command, "--help") for command in cli.COMMANDS),
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_SURFACE, ids=lambda argv: " ".join(argv) or "no-command")
+def test_the_one_subparser_build_prints_what_the_full_parser_prints(capsys, monkeypatch, argv):
+    code, out, err = run(capsys, *argv)
+    full_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda _argv: full_parser())
+    full = run(capsys, *argv)
+    assert (code, out, err) == full
+    assert code == (0 if {"-h", "--help", "--version"} & set(argv) else 1)
+    if argv == ("bogus",):
+        assert "invalid choice: 'bogus' (choose from " + ", ".join(map(repr, cli.COMMANDS)) + ")" in err
+
+
+def test_a_command_builds_only_its_subparser():
+    sub = next(action for action in cli.build_parser(["count"])._actions if action.dest == "command")
+    assert list(sub.choices) == ["count"]
 
 
 # each export's home module, as the package imported them eagerly
