@@ -102,14 +102,11 @@ from itertools import combinations
 from math import comb, lcm
 
 from .abelian import AbelianGroup, GradedAbelianGroup
-from .cache import BraidHomologyKey, HomologyCache
 from .linalg import p_local_ranks, rank_int_rows, rank_mod_p_rows
-from .rings import CellModelError, Ring, Z, is_prime
+from .rings import DEFAULT_K_MAX, CellModelError, Ring, Z, is_prime
 
 TRIVIAL = "trivial"
 SIGN = "sign"
-
-DEFAULT_K_MAX = 10
 
 
 def __getattr__(name: str):  # PEP 562: only perfbench/tracer.py wraps braid.complex_homology (ROADMAP item 1)
@@ -470,6 +467,7 @@ def config_homology(
     _check_system(system)
     if ring != Z:
         return _homology(k, system, ring, through)
+    from .cache import BraidHomologyKey  # field tables are never cached, so they never load the cache
     key = BraidHomologyKey(k, system)
     result = cache.get(key) if cache is not None else None
     if result is None:

@@ -17,7 +17,7 @@ from math import log10
 from pathlib import Path
 
 from . import __version__
-from .rings import CellModelError, is_prime, parse_ring  # each command loads the layers it runs
+from .rings import DEFAULT_K_MAX, CellModelError, is_prime, parse_ring  # each command loads the layers it runs
 
 SCHEMA_VERSION = 1
 COMMANDS = ("betti", "hol-betti", "e1", "stable-series", "stability-dim", "count", "jet", "verify", "cache")
@@ -29,6 +29,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+_CONTAINERS = (dict, list, tuple)  # the only values _ordered recurses into
+
+
 def _ordered(obj):
     if isinstance(obj, dict):
         def key(k):
@@ -36,10 +39,9 @@ def _ordered(obj):
             stripped = text.lstrip("-")
             return (0, int(text)) if stripped.isdigit() else (1, text)
 
-        return {str(k): _ordered(obj[k]) for k in sorted(obj, key=key)}
-    if isinstance(obj, (list, tuple)):
-        return [_ordered(v) for v in obj]
-    return obj
+        items = ((str(k), obj[k]) for k in sorted(obj, key=key))
+        return {k: _ordered(v) if isinstance(v, _CONTAINERS) else v for k, v in items}
+    return [_ordered(v) if isinstance(v, _CONTAINERS) else v for v in obj]
 
 
 def canonical_json(payload: dict) -> str:
@@ -65,7 +67,9 @@ def _report(command: str, parameters: dict, result: dict, exactness, notes=()) -
     }
 
 
-def _resolve_cache(args) -> HomologyCache:
+def _resolve_cache(args, ring=None) -> HomologyCache | None:
+    if ring is not None and ring.is_field:  # field tables are never cached
+        return None
     from .cache import HomologyCache, default_cache_dir
     directory = getattr(args, "cache_dir", None)
     path = Path(directory) if directory else default_cache_dir()
@@ -87,8 +91,8 @@ def _table_lines(header: str, table: spaces.HomologyTable) -> list[str]:
 
 def _cmd_table(args) -> int:
     from . import spaces
-    cache = _resolve_cache(args)
     ring = parse_ring(args.ring)
+    cache = _resolve_cache(args, ring)
     if args.command == "betti":
         table = spaces.poly_homology(args.d, args.m, args.n, ring, k_max=args.k_max, cache=cache)
         params = {"d": args.d, "m": args.m, "n": args.n}
@@ -110,8 +114,8 @@ def _cmd_table(args) -> int:
 
 def _cmd_e1(args) -> int:
     from . import spaces
-    cache = _resolve_cache(args)
     ring = parse_ring(args.ring)
+    cache = _resolve_cache(args, ring)
     if args.flavor == "poly":
         if args.m is None:
             raise ValueError("--flavor poly needs --m")
@@ -142,8 +146,8 @@ def _cmd_e1(args) -> int:
 
 def _cmd_stable_series(args) -> int:
     from . import spaces
-    cache = _resolve_cache(args)
     ring = parse_ring(args.ring)
+    cache = _resolve_cache(args, ring)
     series = spaces.omega_series(args.n, ring, args.through, k_max=args.k_max, cache=cache)
     params = {"n": args.n, "ring": ring.label, "through": args.through}
     payload = _report(
@@ -222,18 +226,26 @@ def _parse_rational(text: str) -> Fraction:
         raise ValueError(f"coefficient {text!r} has a zero denominator") from None
 
 
+def _parse_coefficient(text: str):
+    """An int, or a Fraction for 'a/b' with b > 0, read without Fraction's regex; all else goes to _parse_rational."""
+    import fractions
+    if plain := re.fullmatch(r"([-+]?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?", text.strip()):
+        num, den = plain.groups()
+        return int(num) if den is None else fractions.Fraction(int(num), int(den))
+    return _parse_rational(text)
+
+
 def parse_tuple_line(line: str, n: int) -> jets.QTuple:
     """One tuple per line; polynomials split by ';', coefficients (constant
     term first) split by ',', each an exact rational like '-3' or '1/2'."""
     from . import jets
-    from .poly import Poly
+    from .poly import _poly
     blocks = [b for b in line.strip().split(";") if b.strip()]
     if not blocks:
         raise ValueError("empty tuple line")
     polys = []
     for block in blocks:
-        coeffs = [_parse_rational(c) for c in block.split(",")]
-        polys.append(Poly(0, coeffs))
+        polys.append(_poly(0, [_parse_coefficient(c) for c in block.split(",")]))
     degrees = {f.degree for f in polys}
     if len(degrees) != 1:
         raise ValueError(f"entries must share one degree, got {sorted(degrees)}")
@@ -335,7 +347,6 @@ def build_parser(argv=()) -> _Parser:
         p.add_argument("--json", action="store_true", help="emit one canonical JSON document")
         p.add_argument("--cache-dir", help="homology cache directory (else POLYSTAB_CACHE, else platform default)")
         if k_max:
-            from .braid import DEFAULT_K_MAX
             p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX, help="largest supported summand index")
         if ring:
             p.add_argument("--ring", default="z", help="coefficients: z, q, or f<prime>")

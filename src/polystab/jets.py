@@ -9,13 +9,19 @@ common root of multiplicity >= n precisely when the jet entries have a plain
 common root.  Polynomials are :class:`polystab.poly.Poly` with modulus 0.
 Characteristic zero only: the derivative criterion below needs it (prime
 fields are handled by factorization in :mod:`polystab.ffield`).
+Both memberships take gcds of integer rows (each polynomial times the lcm of
+its denominators) by primitive pseudo-remainders (Collins, J. ACM 14, 1967);
+Euclid over Q, :func:`polystab.poly.poly_gcd`, is their test oracle.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from itertools import zip_longest
+from math import gcd, lcm, perm
 
-from .poly import Poly, poly_gcd
+from .poly import Poly, _poly
 from .rings import Value
 
 # share of random_tuple_suite's tuples built with a common root of multiplicity n
@@ -41,13 +47,50 @@ class QTuple(Value):
                 raise ValueError(f"entries must be monic of degree {self.d}")
 
 
+def _row(f: Poly) -> list[int]:
+    """f times the lcm of its denominators, constant term first."""
+    den = lcm(*(c.denominator for c in f.coeffs))
+    return [c.numerator * (den // c.denominator) for c in f.coeffs]
+
+
+def _derivative(row: list[int], order: int) -> list[int]:
+    """The order-th derivative of an integer row, by falling factorials in one pass."""
+    return [c * perm(k, order) for k, c in enumerate(row[order:], order)]
+
+
+def _gcd(rows) -> list[int]:
+    """gcd of integer rows up to a constant factor, stopping once it is constant: each step
+    takes (a, b) to (b, the primitive part of the pseudo-remainder of lead(b)^e * a by b)."""
+    rows = iter(rows)
+    a = next(rows)
+    for b in rows:
+        if len(a) == 1:
+            break
+        while len(b) > 1:
+            rem, lead = list(a), b[-1]
+            for shift in range(len(rem) - len(b), -1, -1):
+                c = rem.pop()
+                if c:
+                    rem = [lead * x for x in rem[:shift]] + [lead * x - c * y for x, y in zip(rem[shift:], b)]
+            while rem and not rem[-1]:
+                rem.pop()
+            content = gcd(*rem)
+            a, b = b, [x // content for x in rem] if content > 1 else rem
+        if b:  # a nonzero constant: so is the gcd
+            a = b
+    return a
+
+
 def jet_map(t: QTuple) -> list[Poly]:
     """The mn jet entries, block k being f_k plus its first n-1 derivatives."""
     out = []
     for f in t.entries:
         out.append(f)
+        row = _row(f)
+        den = row[-1]
         for order in range(1, t.n):
-            out.append(f + f.derivative(order))
+            entry = [c + dc for c, dc in zip_longest(row, _derivative(row, order), fillvalue=0)]
+            out.append(_poly(0, entry if den == 1 else [Fraction(c, den) for c in entry]))
     return out
 
 
@@ -59,19 +102,8 @@ def q_membership_poly(t: QTuple) -> bool:
     derivative g^{(j)}, j < n, so the condition is gcd(g, g', ..., g^{(n-1)})
     being constant.
     """
-    g = t.entries[0]
-    for f in t.entries[1:]:
-        g = poly_gcd(g, f)
-        if g.degree == 0:
-            return True
-    if g.degree == 0:
-        return True
-    h = g
-    for order in range(1, t.n):
-        h = poly_gcd(h, g.derivative(order))
-        if h.degree == 0:
-            return True
-    return h.degree == 0
+    g = _gcd(map(_row, t.entries))
+    return len(g) == 1 or len(_gcd(_derivative(g, order) for order in range(t.n))) == 1
 
 
 def q_membership_hol(polys) -> bool:
@@ -79,12 +111,7 @@ def q_membership_hol(polys) -> bool:
     polys = list(polys)
     if not polys:
         raise ValueError("need at least one polynomial")
-    g = polys[0]
-    for f in polys[1:]:
-        g = poly_gcd(g, f)
-        if g.degree == 0:
-            return True
-    return g.degree == 0
+    return len(_gcd(map(_row, polys))) == 1
 
 
 class JetEquivalenceReport(Value):

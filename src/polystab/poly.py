@@ -1,20 +1,24 @@
 """Polynomials in one variable over Q or a prime field F_p.
 
 ``Poly(p, coeffs)`` stores coefficients constant term first.  Modulus 0 means
-Q with exact rational coefficients, the convention of
-:func:`polystab.linalg.eliminate`; a prime p means F_p with coefficients in
-0..p-1.  The constructor checks the prime once, when a caller builds a
-polynomial; arithmetic results are built by :func:`_poly`, which only reduces
-and strips trailing zeros, since their operands already carried a checked
-modulus.
+Q with exact rational coefficients (``Fraction``, or ``int`` where a result was
+built from ints), the convention of :func:`polystab.linalg.eliminate`; a prime
+p means F_p with coefficients in 0..p-1.  The constructor checks the prime
+once, when a caller builds a polynomial; arithmetic results are built by
+:func:`_poly`, which only reduces and strips trailing zeros, since their
+operands already carried a checked modulus.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import zip_longest
 
 from .rings import is_prime
+
+
+def _rational(c):
+    from fractions import Fraction  # only Q needs it: work over F_p (the count command) never loads it
+    return Fraction(c)
 
 
 class Poly:
@@ -26,7 +30,7 @@ class Poly:
         if p != 0 and not is_prime(p):
             raise ValueError(f"modulus must be 0 (for Q) or a prime, got {p}")
         self.p = p
-        self.coeffs = _reduce(p, list(coeffs) if p else [Fraction(c) for c in coeffs])
+        self.coeffs = _reduce(p, list(coeffs) if p else [_rational(c) for c in coeffs])
 
     @classmethod
     def one(cls, p: int) -> "Poly":
@@ -61,10 +65,10 @@ class Poly:
 
     def _scalar(self, c):
         """``c`` as an element of this polynomial's coefficient field."""
-        return c % self.p if self.p else Fraction(c)
+        return c % self.p if self.p else _rational(c)
 
     def _inverse(self, c):
-        return pow(c, -1, self.p) if self.p else 1 / Fraction(c)
+        return pow(c, -1, self.p) if self.p else 1 / _rational(c)
 
     def __add__(self, other: "Poly") -> "Poly":
         p = self._modulus(other)

@@ -12,12 +12,25 @@ series of the limiting double loop space.
 
 from __future__ import annotations
 
-from .abelian import AbelianGroup, GradedAbelianGroup
-from .braid import DEFAULT_K_MAX, SIGN, config_homology, dk_homology
-from .cache import HomologyCache
-from .rings import Ring, Value, Z
+from .rings import DEFAULT_K_MAX, Ring, Value, Z
 
 MN2_NOTE = "mn=2: identification with the limit space is stable/homology-level only"
+_ENGINE = ("AbelianGroup", "GradedAbelianGroup", "SIGN", "config_homology", "dk_homology")
+
+
+def _load_engine() -> None:
+    """Bind the engine's names here once (a wrapper may replace them later); stability_dimension needs none."""
+    global AbelianGroup, GradedAbelianGroup, SIGN, config_homology, dk_homology
+    if "dk_homology" not in globals():
+        from .abelian import AbelianGroup, GradedAbelianGroup
+        from .braid import SIGN, config_homology, dk_homology
+
+
+def __getattr__(name: str):  # PEP 562: reading an engine name from outside binds the engine first
+    if name not in _ENGINE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_engine()
+    return globals()[name]
 
 
 class Params(Value):
@@ -108,6 +121,7 @@ def hol_homology(
     up by 2(N-2)k.  Summand k contributes nothing below degree (2N-3)k, which
     makes the finite sum complete in every degree.
     """
+    _load_engine()
     if N < 2:
         raise ValueError("need N >= 2")
     if d < 0:
@@ -138,6 +152,7 @@ class E1Page(Value):
         return f"E1Page(ring={self.ring!r}, k_top={self.k_top!r}, twist={self.twist!r})"
 
     def entry(self, k: int, s: int) -> AbelianGroup:
+        _load_engine()  # a page may come from another process, as a pickle
         return self.entries.get((k, s), AbelianGroup())
 
     def nonzero_cells(self) -> list[tuple[int, int]]:
@@ -169,6 +184,7 @@ def e1_page_hol(
 ) -> E1Page:
     """First page for the rational-map space: columns 1..d, twist 2(N-1),
     entry (k, s) the sign-twisted homology of C_k in degree s - 2(N-1)k."""
+    _load_engine()
     if N < 2:
         raise ValueError("need N >= 2")
     if d < 0:
@@ -201,6 +217,7 @@ def omega_series(
     k <= through/(2N-3) is inside the configured bound; larger requests are
     refused rather than silently truncated.
     """
+    _load_engine()
     if N < 2:
         raise ValueError("need N >= 2")
     if not ring.is_field:

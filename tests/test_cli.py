@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import marshal
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from polystab import braid, cli, complexes, ffield, jets, linalg, verify
+from polystab import braid, cli, complexes, ffield, jets, linalg, poly, verify
 from polystab.abelian import GradedAbelianGroup
 from polystab.rings import MILLER_RABIN_BOUND
 
@@ -219,6 +220,51 @@ def test_jet_zero_denominator_exits_one(capsys, monkeypatch):
     assert "'1/0'" in err and "Traceback" not in err
 
 
+PARSE_CASES = ["7", "-0", "+3", " 12 ", "1_000", "2/4", "3/-4", "1/0", "0/0", "\u0661\u0662", "1e3", "0.5", "", "abc",
+               "9" * 5000]
+
+
+@pytest.mark.parametrize("text", PARSE_CASES, ids=lambda text: repr(text) if len(text) < 10 else f"{len(text)}-digits")
+def test_coefficient_parse_matches_fraction(capsys, monkeypatch, text):
+    def outcome(parse):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            return str(exc)
+
+    assert outcome(cli._parse_coefficient) == outcome(cli._parse_rational)
+    # the jet command answers alike when every coefficient goes through Fraction(text)
+    answers = []
+    for parse in (cli._parse_coefficient, cli._parse_rational):
+        monkeypatch.setattr(cli, "_parse_coefficient", parse)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(f"{text},1\n"))
+        answers.append(run(capsys, "jet", "--n", "2", "--json"))
+    assert answers[0] == answers[1]
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """The benchmark's request generator and output checks."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    return importlib.import_module("workloads")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_benchmark_jet_batches_match_the_reference_without_euclid_over_q(capsys, monkeypatch, workloads, n):
+    def euclid(*_args):
+        raise AssertionError("Euclid over Q ran on the jet path")
+
+    monkeypatch.setattr(poly, "poly_gcd", euclid)
+    monkeypatch.setattr(poly.Poly, "__divmod__", euclid)
+    reference = workloads.load_reference()
+    for variant in range(workloads.JET_VARIANTS):
+        op = workloads.jet_op(n, variant)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(op.stdin))
+        code, out, err = run(capsys, *op.argv)
+        assert code == 0, err
+        assert workloads.check_output(op, out, reference) is None, op.key
+
+
 def test_jet_decimal_exponent_bound():
     bound = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     assert cli._parse_rational("1e1000") == 10**1000
@@ -379,6 +425,8 @@ def test_cache_stats_and_clear(tmp_path, capsys):
 def test_canonical_json_ordering_helper():
     payload = {"10": 1, "2": 2, "b": 3, "a": {"5": 1, "11": 2}}
     assert cli.canonical_json(payload) == '{"2":2,"10":1,"a":{"5":1,"11":2},"b":3}'
+    nested = {"x": ({"-1": None, "-2": [True, (1.5, "s")]}, [], ()), 3: {}}
+    assert cli.canonical_json(nested) == '{"3":{},"x":[{"-2":[true,[1.5,"s"]],"-1":null},[],[]]}'
 
 
 def test_large_prime_ring_answers_quickly(tmp_path):
@@ -432,7 +480,7 @@ print(json.dumps([code, sorted(set(sys.modules) - before)]))
 
 
 @pytest.mark.parametrize("argv, stdin, kind", [
-    (("stability-dim", "--d", "4", "--m", "1", "--n", "2"), None, "table"),
+    (("stability-dim", "--d", "4", "--m", "1", "--n", "2"), None, "spaces"),
     (("betti", "--d", "8", "--m", "1", "--n", "2"), None, "table"),
     (("e1", "--flavor", "hol", "--d", "6", "--n", "2", "--ring", "f2"), None, "table"),
     (("cache", "stats"), None, "cache"),
@@ -445,13 +493,19 @@ def test_commands_load_only_the_layers_they_run(tmp_path, argv, stdin, kind):
     assert code == 0, done.stderr
     # the dense oracle (complexes) runs only in verify cells
     assert not {"dataclasses", "inspect", "polystab.complexes"} & set(loaded)
-    if kind in ("table", "cache"):
+    if kind in ("table", "cache", "spaces"):
         assert not {"fractions", "polystab.verify", "polystab.jets"} & set(loaded)
     if kind == "cache":
         assert not {"polystab.braid", "polystab.spaces", "polystab.linalg"} & set(loaded)
+    if "--ring" in argv:  # field tables are never cached
+        assert "polystab.cache" not in loaded
+    package = {name for name in loaded if name.startswith("polystab.")}
+    if kind == "spaces":  # the closed form loads none of the homology engine
+        assert package == {"polystab.cli", "polystab.rings", "polystab.spaces"}
     if kind in ("ffield", "jets"):  # the arithmetic oracles load none of the homology engine
-        package = {name for name in loaded if name.startswith("polystab.")}
         assert package == {"polystab.cli", "polystab.rings", "polystab.poly", f"polystab.{kind}"}
+    if kind == "ffield":  # counting works over F_p only
+        assert "fractions" not in loaded
 
 
 # every way the top-level parser can answer without running a command

@@ -159,3 +159,75 @@ def test_suite_composition():
     assert len(tuples) == 300
     assert all((t.m, t.n) != (1, 1) for t in tuples)
     assert all(1 <= t.d <= 6 and t.m <= 3 and t.n <= 3 for t in tuples)
+
+
+# The oracle of the integer kernel: the same chains with Euclid over Q.
+def euclid_gcd(polys):
+    g = polys[0]
+    for f in polys[1:]:
+        g = poly_gcd(g, f)
+    return g
+
+
+def euclid_member_poly(t):
+    g = euclid_gcd(list(t.entries))
+    return euclid_gcd([g] + [g.derivative(order) for order in range(1, t.n)]).degree == 0
+
+
+def euclid_member_hol(polys):
+    return euclid_gcd(list(polys)).degree == 0
+
+
+def assert_kernel_matches_euclid(t):
+    jet = jet_map(t)
+    assert jet == [f + f.derivative(order) if order else f for f in t.entries for order in range(t.n)]
+    assert q_membership_poly(t) == euclid_member_poly(t)
+    assert q_membership_hol(jet) == euclid_member_hol(jet)
+    assert q_membership_hol(t.entries) == euclid_member_hol(t.entries)
+
+
+def test_integer_kernel_matches_euclid_on_random_suite():
+    for t in random_tuple_suite(1000):
+        assert_kernel_matches_euclid(t)
+
+
+def planted_tuple(rng, d, m, n, mult, roots):
+    """m entries of degree d sharing the root a with multiplicity exactly mult
+    (entry 0) or more, their other roots drawn by ``roots``."""
+    a = roots()
+    entries = []
+    for i in range(m):
+        e = mult if i == 0 else rng.randint(mult, d)
+        entries.append(Poly.from_roots(0, [a] * e + [roots() for _ in range(d - e)]))
+    return QTuple(tuple(entries), d, m, n)
+
+
+def test_integer_kernel_matches_euclid_on_benchmark_shaped_batches():
+    # the benchmark's jet batches: d <= 6, m <= 3, one planted root, halves among the roots
+    rng = random.Random(5)
+    for n in (2, 3):
+        for j in range(300):
+            m, d = 1 + j % 3, 1 + (j // 3) % 6
+            mult = (j // 18) % (min(d, n + 1) + 1)
+            half = 2 if j % 7 == 0 else 1
+            t = planted_tuple(rng, d, m, n, mult, lambda: Fraction(rng.randint(-6, 6), half))
+            assert_kernel_matches_euclid(t)
+            assert q_membership_poly(t) == q_membership_hol(jet_map(t))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_integer_kernel_matches_euclid_on_adversarial_tuples(m):
+    # d up to 12, roots with denominators up to 10^4, a common root of multiplicity n - 1, n and n + 1
+    rng = random.Random(40 + m)
+
+    def root():
+        return Fraction(rng.randint(-10**4, 10**4), rng.randint(1, 10**4))
+
+    for n in (1, 2, 3, 4):
+        if (m, n) == (1, 1):
+            continue
+        for mult in (n - 1, n, n + 1):
+            for d in (max(mult, 1), 12):
+                t = planted_tuple(rng, d, m, n, mult, root)
+                assert_kernel_matches_euclid(t)
+                assert q_membership_poly(t) == (mult < n)

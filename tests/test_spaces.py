@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from polystab.abelian import AbelianGroup, GradedAbelianGroup
@@ -266,3 +271,16 @@ def test_summand_degree_window():
 def test_tables_are_connected():
     for args in ((3, 2, 2), (1, 2, 2), (6, 1, 2)):
         assert poly_homology(*args, Z).groups.group(0) == Z1
+
+
+def test_spaces_loads_the_engine_on_first_use():
+    # a fresh interpreter: the closed form runs without the engine, a page built directly still reads
+    # its zero cells, and the engine's names resolve as module attributes
+    code = (
+        "import sys; from polystab import spaces; from polystab.rings import Z; "
+        "print(spaces.stability_dimension(6, 2, 2), 'polystab.braid' in sys.modules, "
+        "spaces.E1Page(Z, 0, 2, {}).entry(1, 1), spaces.dk_homology.__module__)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert done.stdout.split() == ["19", "False", "0", "polystab.braid"], done.stderr
