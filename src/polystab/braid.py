@@ -19,8 +19,8 @@ second sign(shuffle) factor:
 * trivial coefficients: merge coefficient (-1)^(i+1) * sum_shuffles sign(s);
 * sign coefficients:    merge coefficient (-1)^(i+1) * (number of shuffles).
 
-A cell is held only as its cut mask (a merge deletes one cut), boundary rows
-come straight from ``itertools.combinations``, and d^2 = 0 is one identity per
+A cell is its composition tuple; :func:`_neighbours` gives its faces and
+cofaces, the one boundary rule of every route; and d^2 = 0 is one identity per
 triple of block sizes, checked in O(k^3) by :func:`_merge_coefficients`.
 
 This complex computes Borel-Moore homology; the space is an open complex
@@ -51,7 +51,7 @@ The matching scans a cell (a_1, ..., a_r) for the leftmost position j where
 a_j is not a generator and its first factor y does not merge with a_(j-1)
 (split a_j into (y, a_j - y)), or a_j is a generator that merges with a_(j+1)
 while a_(j-1) does not merge with a_j + a_(j+1) (merge them).  The two moves
-undo each other, and the tests check that the scan is an involution.  A cell
+undo each other (the tests check that ``partner`` is an involution).  A cell
 where no position acts is critical; whether position j acts depends only on
 a_(j-1), a_j and a_(j+1), so a DFS over prefixes yields exactly the critical
 cells.  With crit_r critical cells of r parts, the pairs between r + 1 and r
@@ -148,8 +148,8 @@ def dual_fn_complex(k: int, system: str, k_max: int = DEFAULT_K_MAX) -> ChainCom
 
     A cell of dimension j lands in degree 2k - j; the boundary in degree i is
     the transpose of the merge differential into the cells with k - i parts,
-    made dense from the sparse rows of :func:`_dual_boundary_rows` for the
-    dense oracle (Smith normal form) and ``verify cells``.  Rows and columns
+    made dense from the faces of :func:`_neighbours`, the rule the tables run,
+    for the Smith normal form oracle and ``verify cells``.  Rows and columns
     are numbered in ``combinations`` order of the cuts.  Poincare duality for
     the open 2k-manifold makes this compute ordinary homology with the chosen
     rank-one system.  Construction raises :class:`CellModelError` if the
@@ -159,18 +159,18 @@ def dual_fn_complex(k: int, system: str, k_max: int = DEFAULT_K_MAX) -> ChainCom
     from .linalg import IntMatrix
     _check_k(k, k_max)
     _check_system(system)
-    s = _merge_coefficients(k, system)
-    counts = {i: comb(k - 1, i) for i in range(k)}
-    rows = {i: _dual_boundary_rows(k, s, i) for i in range(1, k + 1)}  # degree k: the cell with no cut
+    faces, _ = _neighbours(_merge_coefficients(k, system))
+    cells = [[tuple(b - a for a, b in zip((0, *cuts), (*cuts, k))) for cuts in combinations(range(1, k), k - i - 1)]
+             for i in range(k)]  # degree i: the cells with k - i parts
     boundary = {}
     for i in range(1, k):
-        position = {key: j for j, key in enumerate(rows[i + 1])}  # the cells of degree i, in row order
-        dense = [[0] * counts[i] for _ in range(counts[i - 1])]
-        for out, row in zip(dense, rows[i].values()):
-            for key, v in row:
-                out[position[key]] = v
-        boundary[i] = IntMatrix(counts[i - 1], counts[i], dense)
-    return ChainComplex(counts, boundary)
+        position = {cell: j for j, cell in enumerate(cells[i])}
+        dense = [[0] * len(cells[i]) for _ in cells[i - 1]]
+        for out, cell in zip(dense, cells[i - 1]):
+            for face, v in faces(cell):
+                out[position[face]] = v
+        boundary[i] = IntMatrix(len(cells[i - 1]), len(cells[i]), dense)
+    return ChainComplex({i: len(cells[i]) for i in range(k)}, boundary)
 
 
 def _merge_coefficients(k: int, system: str) -> list[list[int]]:
@@ -210,34 +210,30 @@ def _merge_coefficients(k: int, system: str) -> list[list[int]]:
     return s
 
 
-def _dual_boundary_rows(k: int, s: list[list[int]], i: int) -> dict[int, list[tuple[int, int]]]:
-    """Sparse rows of the degree-i boundary of the transposed complex (i >= 1), keyed by cell.
+def _neighbours(s: list[list[int]]):
+    """The (faces, cofaces) of a composition over the table ``s``, as (cell, coefficient) pairs.
 
-    A composition of k is its set of cuts in 1..k-1, and its key is its cut
-    mask, cut c at bit k - 1 - c.  The row of a cell with k - i + 1 parts
-    (its k - i cuts in ``combinations`` order) is its merge boundary as
-    ``(key, coefficient)`` pairs over the cells with k - i parts: distinct
-    keys in increasing order, no zero coefficient, at most k - i pairs (one
-    per deleted cut), from the checked table ``s`` of
-    :func:`_merge_coefficients`.  Only the dense oracle :func:`dual_fn_complex`
-    builds these; tables rank critical cells.
+    A face merges the blocks j and j + 1 with coefficient (-1)^j s[a_j][a_(j+1)]; a coface
+    splits a block, so cofaces are the transpose of faces.  Zero coefficients are left out.
     """
-    bit = [1 << (k - 1 - c) for c in range(1, k)]
-    signs = [(-1) ** j for j in range(k - i)]
-    rows = {}
-    for cuts, bits in zip(combinations(range(1, k), k - i), combinations(bit, k - i)):
-        mask = sum(bits)
-        rows[mask] = [(mask ^ b, v) for sign, prev, c, nxt, b in zip(signs, (0, *cuts), cuts, (*cuts[1:], k), bits)
-                      if (v := sign * s[c - prev][nxt - c])]
-    return rows
+    def faces(c):
+        return [(c[:j] + (c[j] + c[j + 1],) + c[j + 2:], -v if j % 2 else v)
+                for j in range(len(c) - 1) if (v := s[c[j]][c[j + 1]])]
+
+    def cofaces(c):
+        return [(c[:j] + (x, a - x) + c[j + 1:], -v if j % 2 else v)
+                for j, a in enumerate(c) for x in range(1, a) if (v := s[x][a - x])]
+
+    return faces, cofaces
 
 
 class _Matching:
     """The Morse matching of one (system, p) pair at k, p = 0 for Q; any p > k acts as Q.
 
-    ``first[a]`` is the first factor of block a (a generator when it equals a), and
-    ``merges[x][b]`` says whether [x | b] merges; index 0 stands for "no block".  The
-    critical cells come from a DFS over prefixes, by part count, and ``pairs[r]`` counts
+    ``first[a]`` is the first factor of block a (a generator when it equals a),
+    ``merges[x][b]`` says whether [x | b] merges, and ``splits[prev][a]`` whether a, after the
+    block prev, splits off its first factor; index 0 stands for "no block".  The critical
+    cells come from a DFS over prefixes, by part count, and ``pairs[r]`` counts
     the matched pairs between r + 1 and r parts.  Raises :class:`CellModelError` unless
     every merge it pairs on has a unit coefficient mod p in the table ``s``.
     """
@@ -261,11 +257,12 @@ class _Matching:
             first = [0, *(1 if a % 2 else 2 * lowest(a // 2) for a in range(1, k + 1))]
             rule = lambda x, b: b % 2 == 0 and (x == 1 or no_carry(x // 2, b // 2))  # noqa: E731
         self.k, self.system, self.p, self.first = k, system, p, first
-        self.merges = [[0 < x and 0 < b and x + b <= k and first[x] == x and rule(x, b) for b in range(k + 1)]
-                       for x in range(k + 1)]
+        self.merges = merges = [[0 < x and 0 < b and x + b <= k and first[x] == x and rule(x, b)
+                                 for b in range(k + 1)] for x in range(k + 1)]
+        self.splits = [[first[a] != a and not row[first[a]] for a in range(k + 1)] for row in merges]
         for x in range(1, k):
             for b in range(1, k - x + 1):
-                if self.merges[x][b] and (s[x][b] % p if p else s[x][b]) == 0:
+                if merges[x][b] and (s[x][b] % p if p else s[x][b]) == 0:
                     raise CellModelError(f"cell-model self-check failed: the matching pairs on the merge {(x, b)}, "
                                          f"whose coefficient {s[x][b]} is not a unit {f'mod {p}' if p else 'over Q'} "
                                          f"(k={k}, {system} system)")
@@ -277,21 +274,21 @@ class _Matching:
             raise CellModelError(f"cell-model self-check failed: the matching leaves cells unpaired "
                                  f"(k={k}, {system} system, p={p})")
 
-    def scan(self, cell: tuple[int, ...]) -> tuple[int, bool] | None:
-        """(j, merge) for the leftmost position j that acts on the cell, None when it is critical."""
-        first, merges, prev = self.first, self.merges, 0
+    def partner(self, cell: tuple[int, ...]) -> tuple[tuple[int, ...], bool] | None:
+        """(mate, merge) from the leftmost position j that acts, None when the cell is critical: the
+        mate joins blocks j and j + 1 when ``merge``, else it splits block j after its first factor."""
+        first, merges, splits, prev, last = self.first, self.merges, self.splits, 0, len(cell) - 1
         for j, a in enumerate(cell):
-            if first[a] != a:
-                if not merges[prev][first[a]]:
-                    return j, False
-            elif j + 1 < len(cell) and merges[a][cell[j + 1]] and not merges[prev][a + cell[j + 1]]:
-                return j, True
+            if splits[prev][a]:
+                return cell[:j] + (first[a], a - first[a]) + cell[j + 1:], False
+            if j < last and merges[a][b := cell[j + 1]] and not merges[prev][a + b]:
+                return cell[:j] + (a + b,) + cell[j + 2:], True
             prev = a
         return None
 
     def _critical_cells(self) -> dict[int, list[tuple[int, ...]]]:
         # appending a_(j+1) settles position j (a merge needs a_(j-1), a_j, a_(j+1)) and the split at j + 1
-        first, merges, k = self.first, self.merges, self.k
+        merges, splits, k = self.merges, self.splits, self.k
         found, stack = {}, [((), 0)]
         while stack:
             prefix, total = stack.pop()
@@ -300,8 +297,7 @@ class _Matching:
                 continue
             prev, last = (0, 0, *prefix)[-2:]
             for a in range(1, k - total + 1):
-                if not (first[last] == last and merges[last][a] and not merges[prev][last + a]
-                        or first[a] != a and not merges[last][first[a]]):
+                if not (merges[last][a] and not merges[prev][last + a] or splits[last][a]):
                     stack.append(((*prefix, a), total + a))
         return found
 
@@ -319,7 +315,7 @@ def _flow(matching: _Matching, starts, neighbours, upward: bool, modulus: int):
     steps it may still take.  A state revisited before its value is known is a cycle of the
     matching and raises :class:`CellModelError`.
     """
-    p = matching.p
+    p, partner = matching.p, matching.partner
     room = int(modulus != p)
     memo, columns, rows, zero, pending = {}, {}, [], {}, {}
 
@@ -341,16 +337,13 @@ def _flow(matching: _Matching, starts, neighbours, upward: bool, modulus: int):
                     own, deps = pending.pop(key)
                 else:
                     c, left = key
-                    hit = matching.scan(c)
+                    hit = partner(c)
                     if hit is None or hit[1] != upward:
                         memo[key] = zero if hit else {columns.setdefault(c, len(columns)): 1}
                         stack.pop()
                         yield
                         continue
-                    j, _ = hit
-                    y = matching.first[c[j]]
-                    mate = c[:j] + (c[j] + c[j + 1],) + c[j + 2:] if upward else c[:j] + (y, c[j] - y) + c[j + 1:]
-                    pairs = neighbours(mate)
+                    pairs = neighbours(hit[0])
                     own = next(w for d, w in pairs if d == c)
                     deps = [(s, w) for s, w in steps(pairs, left) if s[0] != c]
                     missing = [s for s, _ in deps if s not in memo]
@@ -385,19 +378,12 @@ def _morse_rows(matching: _Matching, s: list[list[int]], i: int, modulus: int) -
 
     The flow runs from the faces of the upper critical cells and from the cofaces of the lower ones
     at once, one step each, and the first side to finish gives the rows; the other side's would be
-    their transpose, which has the same rank and elementary divisors.  Only coefficients nonzero
-    mod ``modulus`` are followed.
+    their transpose, which has the same rank and elementary divisors.  Neither side is cheaper
+    throughout: the winner changes from degree to degree (trivial system over F_3 at k = 18: faces
+    in 6 degrees, cofaces in 8), and a side fixed per (system, p) loses to the lockstep in 13
+    trivial-system cases at k <= 18.  Only coefficients nonzero mod ``modulus`` are followed.
     """
-    s = [[v % modulus for v in row] for row in s] if modulus else s
-
-    def faces(c):
-        return [(c[:j] + (c[j] + c[j + 1],) + c[j + 2:], -v if j % 2 else v)
-                for j in range(len(c) - 1) if (v := s[c[j]][c[j + 1]])]
-
-    def cofaces(c):
-        return [(c[:j] + (x, a - x) + c[j + 1:], -v if j % 2 else v)
-                for j, a in enumerate(c) for x in range(1, a) if (v := s[x][a - x])]
-
+    faces, cofaces = _neighbours([[v % modulus for v in row] for row in s] if modulus else s)
     r = matching.k - i
     sides = (_flow(matching, matching.critical.get(r + 1, ()), faces, False, modulus),
              _flow(matching, matching.critical.get(r, ()), cofaces, True, modulus))

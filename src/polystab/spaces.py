@@ -81,6 +81,17 @@ class PoincareSeries(Value):
         return self.coefficients[degree]
 
 
+def _check_summands(d: int, N: int, k_max: int, reach: str) -> None:
+    """Load the engine, then refuse N < 2, d < 0 and d > k_max; ``reach`` words the last refusal."""
+    _load_engine()
+    if N < 2:
+        raise ValueError("need N >= 2")
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
+    if d > k_max:
+        raise ValueError(f"{reach} k={d}, beyond the configured bound {k_max}")
+
+
 def stability_dimension(d: int, m: int, n: int) -> int:
     """The dimension (2mn-3)(floor(d/n)+1)-1 through which the limit map is an equivalence."""
     p = Params(d, m, n)
@@ -121,15 +132,7 @@ def hol_homology(
     up by 2(N-2)k.  Summand k contributes nothing below degree (2N-3)k, which
     makes the finite sum complete in every degree.
     """
-    _load_engine()
-    if N < 2:
-        raise ValueError("need N >= 2")
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
-    if d > k_max:
-        raise ValueError(
-            f"needs summands up to k={d}, beyond the configured bound {k_max}"
-        )
+    _check_summands(d, N, k_max, "needs summands up to")
     total = GradedAbelianGroup({0: AbelianGroup(1)})
     for k in range(1, d + 1):
         total = total.direct_sum(
@@ -184,15 +187,7 @@ def e1_page_hol(
 ) -> E1Page:
     """First page for the rational-map space: columns 1..d, twist 2(N-1),
     entry (k, s) the sign-twisted homology of C_k in degree s - 2(N-1)k."""
-    _load_engine()
-    if N < 2:
-        raise ValueError("need N >= 2")
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
-    if d > k_max:
-        raise ValueError(
-            f"first-page columns run to k={d}, beyond the configured bound {k_max}"
-        )
+    _check_summands(d, N, k_max, "first-page columns run to")
     twist = 2 * (N - 1)
     entries: dict[tuple[int, int], AbelianGroup] = {(0, 0): AbelianGroup(1)}
     for k in range(1, d + 1):

@@ -115,8 +115,9 @@ def suite_jet(cache: HomologyCache | None = None) -> Checks:
 
 
 def suite_cells(cache: HomologyCache | None = None) -> Checks:
-    """Cell-model soundness for k <= 9: the dense d.d = 0 check, and every table
-    of both coefficient systems against the closed form in weight k."""
+    """Cell-model soundness for k <= 9: the dense d.d = 0 check, which runs on
+    the engine's own face rule, and every table of both coefficient systems
+    against the closed form in weight k."""
     for k in range(1, 10):
         ok = True
         notes = []

@@ -27,17 +27,22 @@ Z1 = AbelianGroup(1)
 Z2 = AbelianGroup(0, (2,))
 
 
-def _rows(k, system, i):
-    """The full degree-i rows, from a freshly checked merge table."""
-    return braid._dual_boundary_rows(k, braid._merge_coefficients(k, system), i)
+def _neighbours(k, system, modulus=0):
+    """The engine's (faces, cofaces) over a freshly checked merge table, reduced mod ``modulus``."""
+    s = braid._merge_coefficients(k, system)
+    return braid._neighbours([[v % modulus for v in row] for row in s] if modulus else s)
 
 
-def test_cell_masks_small():
-    # k = 3: cut 1 is bit 1 and cut 2 is bit 0, so (1,2) -> 2, (2,1) -> 1, (3) -> 0
-    assert _rows(3, SIGN, 1) == {3: [(1, 2), (2, -2)]}
-    assert _rows(3, TRIVIAL, 1) == {3: []}
-    assert list(_rows(3, SIGN, 2).items()) == [(2, [(0, 3)]), (1, [(0, 3)])]
-    assert _rows(3, TRIVIAL, 2) == {2: [(0, 1)], 1: [(0, 1)]}
+def test_cell_faces_small():
+    # k = 3: merging (1,1,1) at position j carries the sign (-1)^j; s(1,1) is 2, or 0 when signed
+    faces, cofaces = _neighbours(3, SIGN)
+    assert faces((1, 1, 1)) == [((2, 1), 2), ((1, 2), -2)]
+    assert faces((1, 2)) == faces((2, 1)) == [((3,), 3)]
+    assert cofaces((3,)) == [((1, 2), 3), ((2, 1), 3)]
+    assert cofaces((2, 1)) == [((1, 1, 1), 2)]
+    faces, cofaces = _neighbours(3, TRIVIAL)
+    assert faces((1, 1, 1)) == cofaces((1, 2)) == cofaces((2, 1)) == []
+    assert faces((1, 2)) == faces((2, 1)) == [((3,), 1)]
 
 
 def test_cell_count_and_dimensions():
@@ -123,8 +128,8 @@ def _lexicographic_compositions(k, parts):
 def _lexicographic_rows(k, system, i):
     """Degree-i rows built from composition tuples, columns in lexicographic order.
 
-    A copy of the composition-table builder the cut masks replaced; it shares
-    only ``shuffle_sum`` with the library.
+    Independent of the engine's face rule: it shares only ``shuffle_sum`` with
+    the library.
     """
     column = {c: j for j, c in enumerate(_lexicographic_compositions(k, k - i))}
     rows = []
@@ -157,19 +162,20 @@ def test_dense_matrices_match_the_lexicographic_builder():
 
 
 @cache
+def _full_rows(k, system):
+    """Every degree's full rows, columns numbered from the last composition.
+
+    Leading on the later cells keeps the fill-in small: at k = 14 (sign, over Q)
+    elimination takes 0.14 s, against 1.2 s with the first composition first.
+    """
+    return [[[(comb(k - 1, i) - 1 - j, v) for j, v in row] for row in _lexicographic_rows(k, system, i)]
+            for i in range(1, k)]
+
+
+@cache
 def _full_row_leads(k, system, modulus):
-    """Leads of every degree's full rows, the oracle for the pruned route (shared by two tests)."""
-    return [eliminate(list(_rows(k, system, i).values()), modulus) for i in range(1, k)]
-
-
-def test_mask_order_ranks_match_the_lexicographic_order():
-    for k in range(2, 13):
-        for system in (TRIVIAL, SIGN):
-            for i in range(1, k):
-                old = _lexicographic_rows(k, system, i)
-                for modulus in (0, 2, 3, 5, 7):
-                    new = _full_row_leads(k, system, modulus)[i - 1]
-                    assert len(new) == len(eliminate(old, modulus)), (k, system, i, modulus)
+    """Leads of every degree's full rows, the oracle for the Morse route."""
+    return [eliminate(rows, modulus) for rows in _full_rows(k, system)]
 
 
 def _spy_on_the_kernel(monkeypatch):
@@ -197,25 +203,25 @@ def _compositions(k):
 
 
 def test_matching_is_an_involution_and_the_dfs_finds_every_critical_cell():
-    # enumerate every cell: its partner acts at the same position the other way and comes back,
-    # the cells where nothing acts are the DFS's, and the pairs match up_r = C(k-1, r-1) - crit_r - down_r
+    # enumerate every cell: its partner comes back the other way (and, for k <= 10, is a face or
+    # coface with a coefficient nonzero mod p), the cells with no partner are the DFS's, and the
+    # pairs match up_r = C(k-1, r-1) - crit_r - down_r
     for k in range(1, 15):
         cells = _compositions(k)
         for system in (TRIVIAL, SIGN):
             s = braid._merge_coefficients(k, system)
             for p in MORSE_MODULI:
                 matching = braid._Matching(k, system, s, p)
+                faces, cofaces = _neighbours(k, system, p)
                 critical, up = {}, [0] * (k + 1)
                 for cell in cells:
-                    hit = matching.scan(cell)
+                    hit = matching.partner(cell)
                     if hit is None:
                         critical.setdefault(len(cell), []).append(cell)
                         continue
-                    j, merge = hit
-                    y = matching.first[cell[j]]
-                    mate = cell[:j] + (cell[j] + cell[j + 1],) + cell[j + 2:] if merge else \
-                        cell[:j] + (y, cell[j] - y) + cell[j + 1:]
-                    assert matching.scan(mate) == (j, not merge), (k, system, p, cell, mate)
+                    mate, merge = hit
+                    assert k > 10 or mate in dict((faces if merge else cofaces)(cell)), (k, system, p, cell, mate)
+                    assert matching.partner(mate) == (cell, not merge), (k, system, p, cell, mate)
                     up[len(cell)] += not merge  # count each pair at its lower cell
                 assert {r: sorted(c) for r, c in matching.critical.items()} == \
                     {r: sorted(c) for r, c in critical.items()}, (k, system, p)
@@ -236,8 +242,8 @@ def test_morse_ranks_match_full_row_elimination(monkeypatch):
                 assert got == [len(leads) for leads in _full_row_leads(k, system, m)], (k, system, m)
 
 
-def _refuse_full_rows(*args):
-    raise AssertionError("a table built full boundary rows")
+def _refuse_enumeration(*args):
+    raise AssertionError("a table enumerated every cell")
 
 
 @pytest.mark.parametrize("system", [TRIVIAL, SIGN])
@@ -249,13 +255,13 @@ def test_each_degree_ranks_only_critical_cells(monkeypatch, system):
     matchings = {m: braid._Matching(k, system, s, m) for m in moduli}
     calls = _spy_on_the_kernel(monkeypatch)
     local = []
-    real_rows, real_local = braid._dual_boundary_rows, braid.p_local_ranks
+    real_local = braid.p_local_ranks
 
     def local_spy(rows, p):
         local.append((len(calls) // len(moduli), p, real_local(rows, p)))  # degree i ranked every modulus
         return local[-1][2]
 
-    monkeypatch.setattr(braid, "_dual_boundary_rows", _refuse_full_rows)
+    monkeypatch.setattr(braid, "combinations", _refuse_enumeration)
     monkeypatch.setattr(braid, "p_local_ranks", local_spy)
     config_homology(k, system, Z, k_max=k)
     assert len(calls) == len(moduli) * (k - 1)
@@ -264,11 +270,11 @@ def test_each_degree_ranks_only_critical_cells(monkeypatch, system):
         assert len(rows) in (len(critical.get(k - i + 1, ())), len(critical.get(k - i, ()))), (i, n)
     assert local
     for i, p, (a, b) in local:
-        assert (matchings[p].pairs[k - i] + a, b) == real_local(list(real_rows(k, s, i).values()), p), (i, p)
+        assert (matchings[p].pairs[k - i] + a, b) == real_local(_lexicographic_rows(k, system, i), p), (i, p)
 
 
 def test_tables_build_no_full_row(monkeypatch):
-    monkeypatch.setattr(braid, "_dual_boundary_rows", _refuse_full_rows)
+    monkeypatch.setattr(braid, "combinations", _refuse_enumeration)
     assert config_homology(20, SIGN, GF(2), k_max=20).dims(20) == loop_space_series(2, 2, 40)[20][20:]
     table = config_homology(16, TRIVIAL, Z, k_max=16)
     assert [table.dim_mod(j, 3) for j in range(17)] == loop_space_series(2, 3, 16, TRIVIAL)[16]
@@ -279,8 +285,8 @@ def test_a_cyclic_matching_is_refused_quickly():
     # other face is the next cell, so the flow comes back to where it started
     s = braid._merge_coefficients(4, SIGN)
     matching = braid._Matching(4, SIGN, s, 0)
-    matching.scan = {(1, 3): (1, False), (2, 2): (1, False), (3, 1): (0, False),
-                     (1, 1, 2): (1, True), (2, 1, 1): (1, True), (1, 2, 1): (0, True)}.get
+    matching.partner = {(1, 3): ((1, 1, 2), False), (2, 2): ((2, 1, 1), False), (3, 1): ((1, 2, 1), False),
+                        (1, 1, 2): ((1, 3), True), (2, 1, 1): ((2, 2), True), (1, 2, 1): ((3, 1), True)}.get
     matching.critical = {3: [(1, 1, 2)], 2: [(2, 2)]}
     started = time.perf_counter()
     with pytest.raises(CellModelError, match="cycle"):
@@ -321,16 +327,30 @@ def _nonzero_squares(k, rows_by_degree, cell_keys):
 
 
 def test_boundary_squared_of_every_built_row_vanishes():
-    # per-cell d^2 = 0 over the sparse rows themselves, so it also covers the
-    # row builder's keys and signs, which the triple self-check does not see
+    # per-cell d^2 = 0 over the engine's own faces, so it also covers their
+    # targets and signs, which the triple self-check does not see
     for k in range(1, 13):
-        masks = [[sum(1 << (k - 1 - c) for c in cuts) for cuts in combinations(range(1, k), k - i - 1)]
-                 for i in range(k)]
+        cells = _compositions(k)
         for system in (TRIVIAL, SIGN):
-            rows = {i: _rows(k, system, i) for i in range(1, k)}
-            assert [list(rows[i]) for i in range(1, k)] == masks[: k - 1], (k, system)
-            rows = {i: list(rows[i].values()) for i in rows}
-            assert _nonzero_squares(k, rows, masks) == [], (k, system)
+            faces, _ = _neighbours(k, system)
+            for cell in cells:
+                square = {}
+                for mid, c1 in faces(cell):
+                    for target, c2 in faces(mid):
+                        square[target] = square.get(target, 0) + c1 * c2
+                assert not any(square.values()), (k, system, cell)
+
+
+def test_cofaces_are_the_transpose_of_faces():
+    # the flow's coboundary side relies on it, over Z and over every reduced table it runs on
+    for k in range(1, 13):
+        cells = _compositions(k)
+        for system in (TRIVIAL, SIGN):
+            for modulus in (0, 2, 3, 4, 9):
+                faces, cofaces = _neighbours(k, system, modulus)
+                down = sorted((cell, face, v) for cell in cells for face, v in faces(cell))
+                up = sorted((coface, cell, v) for cell in cells for coface, v in cofaces(cell))
+                assert down == up, (k, system, modulus)
 
 
 def test_triple_self_check_matches_the_per_cell_check(monkeypatch):
@@ -529,24 +549,20 @@ def test_field_dims_match_dual_complex_route():
                     assert direct.free_rank(i) == via_complex.free_rank(i)
 
 
-def test_dual_boundary_rows_are_sparse_and_well_formed():
+def test_faces_are_sparse_and_well_formed():
     for k in range(1, 11):
         for system in (TRIVIAL, SIGN):
-            for i in range(1, k):
-                rows = _rows(k, system, i)
-                assert len(rows) == comb(k - 1, i - 1)
-                cells = combinations(range(1, k), k - i)
-                for row, cuts in zip(rows.values(), cells):
-                    keys = [key for key, _ in row]
-                    assert len(set(keys)) == len(keys) <= k - i
-                    assert all(0 <= key < 2 ** (k - 1) for key in keys)
-                    assert all(key.bit_count() == k - i - 1 for key in keys)
-                    assert all(coeff for _, coeff in row)
-                    # the first merge deletes the lowest cut, the highest bit
-                    first = shuffle_sum(cuts[0], (cuts[1:] or (k,))[0] - cuts[0], system == TRIVIAL)
-                    if first:
-                        mask = sum(1 << (k - 1 - c) for c in cuts)
-                        assert row[0] == (mask - (1 << (k - 1 - cuts[0])), first)
+            faces, _ = _neighbours(k, system)
+            for cell in _compositions(k):
+                row = faces(cell)
+                targets = [face for face, _ in row]
+                assert len(set(targets)) == len(targets) <= len(cell) - 1
+                assert all(len(face) == len(cell) - 1 and sum(face) == k and min(face) > 0 for face in targets)
+                assert all(coeff for _, coeff in row)
+                # the first merge joins the first two blocks, with the sign +1
+                first = len(cell) > 1 and shuffle_sum(cell[0], cell[1], system == TRIVIAL)
+                if first:
+                    assert row[0] == ((cell[0] + cell[1], *cell[2:]), first)
 
 
 def test_classical_stability():
