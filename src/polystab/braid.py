@@ -34,75 +34,98 @@ divided-power algebra: block a is x^(a), and x^(a) x^(b) = s(a, b) x^(a+b).
 
 **The Morse route** (algebraic discrete Morse theory: Skoldberg, Trans. AMS
 358, 2006; Joellenbeck-Welker, Mem. AMS 197, 2009, ch. 5).  Over F_p (p = 0
-for Q, and any p > k acts as Q) each block a has a normal word w(a), its
-letters in increasing order: the sign system has p^u with multiplicity the
-base-p digit u of a (over Q, a copies of the letter 1); the trivial system
-(the algebra E[y] x Gamma[z] at q = -1) has the letter 1 once when a is odd,
-then the sign system's letters of a // 2, doubled.  A generator is a block
-of one letter, and the first factor of a is its first letter.  [x | b]
-*merges* when x is a generator, x is at most the first letter of b, and
-x w(b) is again a normal word (no carry: no sign letter reaches multiplicity
-p, the exterior letter 1 appears once); s(x, b) is then a unit mod p, which
-:class:`_Matching` checks.  By Lucas and Kummer, s(a, b) is nonzero mod p
-exactly when w(a) and w(b) add without carry, and then w(a + b) is their
-sorted union.
+for Q) the algebra is a tensor product of one-letter algebras, one per
+*stage* (unit, base): (p^u, p), p^u <= k, for the sign system, since by Lucas
+x^(a) is the product of the y_u^(a_u), y_u = x^(p^u), a_u the digit u of a,
+and y_u^p = 0; for the trivial one, E[y] x Gamma[z] at q = -1, (1, 2) for
+y = x^(1), then (2p^u, p), the sign stages of a // 2.  Over Q they are
+(1, inf), or (1, 2), (2, inf); base k + 1 stands for inf, as does any p > k.
+Each unit is the last times its base; a's digit there is (a // unit) mod
+base.  A block is the stage's own (a power of its letter) if it is a
+multiple of unit below unit * base, *mixed* if above with a nonzero digit.
+:class:`_Matching` walks the stages, the blocks from ``off`` on being
+multiples of unit; the leftmost position that acts wins:
 
-The matching scans a cell (a_1, ..., a_r) for the leftmost position j where
-a_j is not a generator and its first factor y does not merge with a_(j-1)
-(split a_j into (y, a_j - y)), or a_j is a generator that merges with a_(j+1)
-while a_(j-1) does not merge with a_j + a_(j+1) (merge them).  The two moves
-undo each other (the tests check that ``partner`` is an involution).  A cell
-where no position acts is critical; whether position j acts depends only on
-a_(j-1), a_j and a_(j+1), so a DFS over prefixes yields exactly the critical
-cells.  With crit_r critical cells of r parts, the pairs between r + 1 and r
-parts number up_r = C(k-1, r-1) - crit_r - down_r, down_1 = 0 and
-down_(r+1) = up_r, with no enumeration.  The rank of the merge map from r + 1
-to r parts is up_r plus the rank of the Morse differential between the
-critical cells, which the flow Phi gives: Phi(tau) is tau when tau is
-critical, 0 when tau's partner has fewer parts, and else
--[d sigma : tau]^(-1) sum_(tau' != tau) [d sigma : tau'] Phi(tau') over the
-other faces of its partner sigma.  The flow runs from both ends at once (the
-coboundary side is the same recursion on the transpose) and the first to
-finish gives the rows.  It is iterative and memoised, and a revisited cell
-raises :class:`CellModelError`.
+1. the *level step*: a mixed block a splits into [a - low | low],
+   low = a mod unit * base, or a block with low = 0 merges with a next block
+   below unit * base;
+2. else the own blocks come first, up to t, and on them, in units, the
+   single-letter rule: [1 | b] *merges* when 1 + b < base (no carry); e != 1
+   splits into [1 | e - 1] unless the block before merges with 1, and [1 | b]
+   merges unless the block before merges with 1 + b;
+3. else ``off`` = t and the next stage runs; a cell that passes all is critical.
 
-*Acyclicity.*  Give a cell the word W, the concatenation of the w(a_j).  A
-split used by the matching keeps W.  A face of nonzero coefficient either
-carries, which lowers the letter count |W| (a carry trades p letters for
-one), or sorts two adjacent runs of W, which keeps |W| and does not raise W
-lexicographically.  So along a gradient path tau -> sigma = partner(tau) ->
-tau' (a face of sigma other than tau, itself split by the matching) the pair
-(|W|, W) never rises.  Where it stays put, tau and tau' are bar sets on the
-gaps of one word: sigma adds the bar h after the first letter of tau's
-acting block j, and tau' drops another bar g.  Let S(tau) list sigma's gaps
-up to h, each as bar or no bar (bar the larger), followed by an end mark
-larger than both.  If g lies past the bar h' that closes block j + 1 of
-sigma, tau' merges at its position j - 1 or j, so it is matched down and
-the path stops.  If g = h', tau' agrees with sigma up to h and splits past
-h, so S(tau) is a proper prefix of S(tau') and the end mark makes
-S(tau') < S(tau).  If g < h, tau' does not split before its merged block
-(tau would split there too), nor split that block before g (tau would split
-its own block there), nor at g (sigma would be its partner as well), so it
-splits past g and S(tau') has no bar at g, where S(tau) has one.  Hence
-(|W|, W, S) falls strictly along every path: the matching is acyclic, over
-F_p and over Z_(p) alike, since a coefficient divisible by p still carries
-or sorts.
+The same stage undoes each move (the tests check that ``partner`` is an
+involution).  A critical cell is, per stage in order, one chain 1, base - 1,
+1, ... in units (at most one block for inf): one cell per class of the Tor of
+each one-letter algebra, and over a field the Tor of a tensor product is the
+product of the Tors (Eilenberg-Mac Lane, Ann. of Math. 58, 1953).  The rule
+is local, so a DFS over prefixes yields them; with crit_r of r parts,
+up_r = C(k-1, r-1) - crit_r - down_r pairs join r + 1 and r parts, down_1 = 0
+and down_(r+1) = up_r.
 
-Reducing one matched pair is a unit pivot, so over a field, and over Z_(p)
-for the F_p matching, the elementary divisors of the merge map are up_r
-units together with those of the Morse differential (Skoldberg's
-reduction).  A unit mod p is a unit mod p^2, so the certificate
-:func:`p_local_ranks` runs on the F_p Morse complex computed mod p^2, and
-the pairs count toward its a.
+*Acyclicity.*  Let W list the blocks' letters in turn, each block's higher
+stages first; no move changes W.  A face of nonzero integer coefficient
+carries, lowering the letter count |W| (two odd blocks of the trivial system
+have no face), or sorts two adjacent runs of W, not raising W
+lexicographically with higher stages smaller.  So (|W|, W) maps the face
+poset order-preservingly, constant on pairs, and by the patchwork theorem
+(Kozlov, Combinatorial Algebraic Topology, 2008, 11.10) it is enough that
+each fiber is acyclic: the bar sets on one W that keep each block sorted and
+below base of a letter.  Stages whose letter W lacks act on none of them; at
+the first whose letter y it holds, let G be the gaps where a run of y follows
+a higher letter.  If G is not empty, the level step toggles its first gap g
+on the whole fiber (a mixed block holds g, a block with low = 0 before one
+below unit * base ends at it), the Eilenberg-Zilber pairing
+[h | l] <-> [h + l]; on a path tau -> tau + g -> tau + g - g', the last cell
+holds g, so it is matched down and the path stops.  Else W = y^n W', a cell
+is a cell of y^n beside one of W', and the single-letter rule acts on the
+first, the later stages on the second when the first is critical.  A closed
+path projects to a closed walk of faces and reversed pairs of the
+single-letter rule (a face there is no pair, or its ends would be paired),
+which is acyclic, so the first factor stays put; then it is critical, or a
+step up would move it, and the path is a closed path of the later stages on
+W': by induction, there is none.
+
+The single-letter rule on y^n: along tau -> sigma = partner(tau) -> tau',
+sigma adds the bar h after the first letter of tau's acting block j, and
+tau' drops another bar g.  Let S(tau) list sigma's gaps up to h, each as bar
+or no bar (bar the larger), then an end mark larger than both.  If g lies
+past the bar h' that closes block j + 1 of sigma, tau' merges at its
+position j - 1 or j, so it is matched down and the path stops.  If g = h',
+tau' agrees with sigma up to h and splits past h, so S(tau) is a proper
+prefix of S(tau') and the end mark makes S(tau') < S(tau).  If g < h, tau'
+does not split before its merged block (tau would split there too), nor
+split that block before g (tau would split its own block there), nor at g
+(sigma would be its partner as well), so it splits past g and S(tau') has
+no bar at g, where S(tau) has one.  So S falls along every path.
+
+*Content.*  A cell's content is, per stage, its blocks' digit sum.  A face
+nonzero mod p (over Q, nonzero) carries nothing (Lucas and Kummer; for the
+trivial system, :func:`shuffle_sum` at q = -1), so it keeps the content, as
+the pairs do, and the Morse differential over the field joins only critical
+cells of one content.  A chain of L blocks has digit sum
+(L // 2) base + L mod 2, so no two critical cells share a content, the
+differential is zero, and d_i has rank the pairs across degree i.
+:class:`_Matching` checks both premises, on the table in O(k^2) and on
+adjacent part counts in O(#critical cells), and raises if one fails.
+
+Over Z_(p), reducing a pair is a unit pivot, so the merge map's elementary
+divisors are the F_p pairs, as units, and those of the F_p Morse
+differential, which :func:`p_local_ranks` certifies mod p^2.  The flow gives
+it: Phi(tau) is tau when tau is critical, 0 when tau's partner has fewer
+parts, else -[d sigma : tau]^(-1) sum_(tau' != tau) [d sigma : tau'] Phi(tau')
+over the other faces of its partner sigma.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 
 from .abelian import AbelianGroup, GradedAbelianGroup
-from .linalg import p_local_ranks, rank_int_rows, rank_mod_p_rows
+# braid.rank_int_rows and braid.rank_mod_p_rows stay bound only for perfbench/tracer.py (ROADMAP item 1)
+from .linalg import p_local_ranks, rank_int_rows, rank_mod_p_rows  # noqa: F401
 from .rings import DEFAULT_K_MAX, CellModelError, Ring, Z, is_prime
 
 TRIVIAL = "trivial"
@@ -228,105 +251,100 @@ def _neighbours(s: list[list[int]]):
 
 
 class _Matching:
-    """The Morse matching of one (system, p) pair at k, p = 0 for Q; any p > k acts as Q.
-
-    ``first[a]`` is the first factor of block a (a generator when it equals a),
-    ``merges[x][b]`` says whether [x | b] merges, and ``splits[prev][a]`` whether a, after the
-    block prev, splits off its first factor; index 0 stands for "no block".  The critical
-    cells come from a DFS over prefixes, by part count, and ``pairs[r]`` counts
-    the matched pairs between r + 1 and r parts.  Raises :class:`CellModelError` unless
-    every merge it pairs on has a unit coefficient mod p in the table ``s``.
-    """
+    """The staged Morse matching of (system, p) at k, p = 0 for Q: ``critical`` cells by part count,
+    ``pairs[r]`` between r + 1 and r parts (the field rank of d_(k-r)).  Raises :class:`CellModelError`
+    unless every merge it pairs on is a unit in ``s``, every face of nonzero coefficient keeps the
+    content, and no two critical cells in adjacent part counts share one (see the module docstring)."""
 
     def __init__(self, k: int, system: str, s: list[list[int]], p: int):
-        q = p if p <= k else 0
-
-        def lowest(a: int) -> int:  # the sign system's first factor: p^(v_p(a)), or 1 over Q
-            x = 1
-            while q and a % (x * q) == 0:
-                x *= q
-            return x
-
-        def no_carry(x: int, b: int) -> bool:  # x = p^u: digit u of b is below p - 1 and none below it is set
-            return b % x == 0 and (not q or b // x % q < q - 1)
-
-        if system == SIGN:
-            first = [0, *map(lowest, range(1, k + 1))]
-            rule = no_carry
-        else:
-            first = [0, *(1 if a % 2 else 2 * lowest(a // 2) for a in range(1, k + 1))]
-            rule = lambda x, b: b % 2 == 0 and (x == 1 or no_carry(x // 2, b // 2))  # noqa: E731
-        self.k, self.system, self.p, self.first = k, system, p, first
-        self.merges = merges = [[0 < x and 0 < b and x + b <= k and first[x] == x and rule(x, b)
-                                 for b in range(k + 1)] for x in range(k + 1)]
-        self.splits = [[first[a] != a and not row[first[a]] for a in range(k + 1)] for row in merges]
-        for x in range(1, k):
-            for b in range(1, k - x + 1):
-                if merges[x][b] and (s[x][b] % p if p else s[x][b]) == 0:
-                    raise CellModelError(f"cell-model self-check failed: the matching pairs on the merge {(x, b)}, "
-                                         f"whose coefficient {s[x][b]} is not a unit {f'mod {p}' if p else 'over Q'} "
-                                         f"(k={k}, {system} system)")
+        base, stages = p or k + 1, [(1, 2)] if system == TRIVIAL else []
+        while (unit := stages[-1][0] * stages[-1][1] if stages else 1) <= k:  # the last unit times its base
+            stages.append((unit, base))
+        self.k, self.system, self.p, self.stages = k, system, p, stages
+        # a block's digits, one per stage, packed in base k + 1 so that the content of a cell adds up
+        self.code = [sum(a // u % b * (k + 1) ** t for t, (u, b) in enumerate(stages)) for a in range(k + 1)]
+        reduced = [[v % p for v in row] for row in s] if p else s  # nonzero exactly at the units of the field
+        refuse = lambda why: CellModelError(  # noqa: E731
+            f"cell-model self-check failed: {why} (k={k}, {system} system, p={p})")
+        for a in range(2, k + 1):
+            for x in range(1, a):
+                if reduced[x][a - x] and self.code[x] + self.code[a - x] != self.code[a]:
+                    raise refuse(f"the merge {(x, a - x)} changes the content")
+            for u, b in stages:  # a's split at this stage, if any: [a - low | low], or [u | a - u] below u * b
+                x = a - a % (u * b) if a >= u * b else u
+                if a % u == 0 and x < a and not reduced[x][a - x]:
+                    raise refuse(f"the matching pairs on the merge {(x, a - x)}, whose coefficient {s[x][a - x]} "
+                                 f"is not a unit {f'mod {p}' if p else 'over Q'}")
         self.critical = self._critical_cells()
+        contents = {r: {sum(map(self.code.__getitem__, c)) for c in cells} for r, cells in self.critical.items()}
+        for r, found in contents.items():
+            if not found.isdisjoint(contents.get(r + 1, ())):
+                raise refuse(f"critical cells with {r} and {r + 1} parts share a content")
         self.pairs, down = {}, 0
         for r in range(1, k + 1):
             self.pairs[r] = down = comb(k - 1, r - 1) - len(self.critical.get(r, ())) - down
         if min(self.pairs.values()) < 0 or self.pairs[k]:
-            raise CellModelError(f"cell-model self-check failed: the matching leaves cells unpaired "
-                                 f"(k={k}, {system} system, p={p})")
+            raise refuse("the matching leaves cells unpaired")
 
     def partner(self, cell: tuple[int, ...]) -> tuple[tuple[int, ...], bool] | None:
-        """(mate, merge) from the leftmost position j that acts, None when the cell is critical: the
-        mate joins blocks j and j + 1 when ``merge``, else it splits block j after its first factor."""
-        first, merges, splits, prev, last = self.first, self.merges, self.splits, 0, len(cell) - 1
-        for j, a in enumerate(cell):
-            if splits[prev][a]:
-                return cell[:j] + (first[a], a - first[a]) + cell[j + 1:], False
-            if j < last and merges[a][b := cell[j + 1]] and not merges[prev][a + b]:
-                return cell[:j] + (a + b,) + cell[j + 2:], True
-            prev = a
+        """(mate, merge) from the first stage that acts, None when the cell is critical: the mate
+        joins blocks j and j + 1 when ``merge``, else it splits block j in two."""
+        n, off = len(cell), 0
+        for unit, base in self.stages:
+            top, t = unit * base, off
+            for j in range(off, n):  # the level step: [a - low | low] <-> [a], low = a mod top
+                if (low := cell[j] % top) and cell[j] > top:
+                    return cell[:j] + (cell[j] - low, low) + cell[j + 1:], False
+                if not low and j + 1 < n and cell[j + 1] < top:
+                    return cell[:j] + (cell[j] + cell[j + 1],) + cell[j + 2:], True
+                t += t == j and low > 0  # the stage's own blocks come first, up to t
+            prev = 0  # the single-letter rule on them, in units
+            for j in range(off, t):
+                e = cell[j] // unit
+                if e > 1 and prev != 1:
+                    return cell[:j] + (unit, cell[j] - unit) + cell[j + 1:], False
+                if e == 1 and j + 1 < t and (f := cell[j + 1] // unit) + 1 < base and not (prev == 1 and f + 2 < base):
+                    return cell[:j] + (cell[j] + cell[j + 1],) + cell[j + 2:], True
+                prev = e
+            off = t
         return None
 
     def _critical_cells(self) -> dict[int, list[tuple[int, ...]]]:
-        # appending a_(j+1) settles position j (a merge needs a_(j-1), a_j, a_(j+1)) and the split at j + 1
-        merges, splits, k = self.merges, self.splits, self.k
-        found, stack = {}, [((), 0)]
+        # blocks are powers of one stage's letter, stages never fall, and each block settles the one before
+        k = self.k
+        letters = [(a, t, a // u, u, b) for t, (u, b) in enumerate(self.stages) for a in range(u, min(u * b, k + 1), u)]
+        found, stack = {}, [((), 0, -1, 0, 0)]  # prefix, its sum, the last block's stage and its two last units
         while stack:
-            prefix, total = stack.pop()
+            prefix, total, last, e1, e0 = stack.pop()
             if total == k:
                 found.setdefault(len(prefix), []).append(prefix)
                 continue
-            prev, last = (0, 0, *prefix)[-2:]
-            for a in range(1, k - total + 1):
-                if not (merges[last][a] and not merges[prev][last + a] or splits[last][a]):
-                    stack.append(((*prefix, a), total + a))
+            for a, t, e, u, b in letters:
+                if t < last or a > k - total or (k - total - a) % u:
+                    continue
+                if e == 1 if t > last else not (e > 1 and e1 != 1 or e1 == 1 and e + 1 < b
+                                                and not (e0 == 1 and e + 2 < b)):
+                    stack.append(((*prefix, a), total + a, t, e, e1 * (t == last)))
         return found
 
 
-def _flow(matching: _Matching, starts, neighbours, upward: bool, modulus: int):
-    """Generator of one side of the Morse differential: one step per memoised cell, rows on return.
+def _flow(matching: _Matching, starts, neighbours, upward: bool):
+    """Generator of one side of the Morse differential mod p^2: one step per memoised cell, rows on return.
 
-    Each start's row is sum_(c, v in neighbours(start)) v Phi(c) over the critical cells.  Phi(c)
-    is c when c is critical, 0 when c is matched the other way, and else
-    -v_c^(-1) sum v' Phi(c') over the other neighbours c' of c's partner, v_c being c's own
-    coefficient there.  ``upward`` flows through cofaces (partners by merge), else through faces
-    (partners by split).  Values are mod ``modulus`` (the matching's p or p^2), or exact
-    rationals for p = 0, whose rows are returned cleared of denominators.  Mod p^2 a path may take one coefficient
-    divisible by p, since the product of two vanishes: a state is a cell and the number of such
-    steps it may still take.  A state revisited before its value is known is a cycle of the
-    matching and raises :class:`CellModelError`.
+    A start's row sums v Phi(c) over its (c, v) in ``neighbours`` (Phi as in the module docstring);
+    ``upward`` flows through cofaces, else through faces.  A path may take one coefficient divisible
+    by p, as two multiply to 0 mod p^2, so a state is a cell and how many such steps it may still
+    take.  A state revisited before its value is known is a cycle and raises :class:`CellModelError`.
     """
-    p, partner = matching.p, matching.partner
-    room = int(modulus != p)
+    p, modulus, partner = matching.p, matching.p ** 2, matching.partner
     memo, columns, rows, zero, pending = {}, {}, [], {}, {}
 
     def steps(pairs, left):  # the states reached through these (cell, coefficient) pairs
-        return [((d, left - cost), w) for d, w in pairs if (cost := p > 0 and w % p == 0) <= left]
+        return [((d, left - cost), w) for d, w in pairs if (cost := w % p == 0) <= left]
 
     for start in starts:
-        if not modulus:  # only a Q flow that runs needs fractions, so the other tables do not load them
-            from fractions import Fraction
         row = {}
-        for state, v in steps(neighbours(start), room):
+        for state, v in steps(neighbours(start), 1):
             stack = [state]
             while stack:
                 key = stack[-1]
@@ -354,39 +372,28 @@ def _flow(matching: _Matching, starts, neighbours, upward: bool, modulus: int):
                         pending[key] = own, deps
                         stack += missing
                         continue
-                scale = -pow(own, -1, modulus) if modulus else -Fraction(1, own)
+                scale = -pow(own, -1, modulus)
                 value = {}
                 for s, w in deps:
                     for col, x in memo[s].items():
                         value[col] = value.get(col, 0) + scale * w * x
-                memo[key] = {col: y for col, x in value.items() if (y := x % modulus if modulus else x)} or zero
+                memo[key] = {col: y for col, x in value.items() if (y := x % modulus)} or zero
                 stack.pop()
                 yield
             for col, x in memo[state].items():
                 row[col] = row.get(col, 0) + v * x
-        row = {col: y for col, x in row.items() if (y := x % modulus if modulus else x)}
-        if not modulus and row:
-            scale = lcm(*(x.denominator for x in row.values()))
-            row = {col: int(x * scale) for col, x in row.items()}
-        rows.append(list(row.items()))
+        rows.append([(col, y) for col, x in row.items() if (y := x % modulus)])
     return rows
 
 
-def _morse_rows(matching: _Matching, s: list[list[int]], i: int, modulus: int) -> list[list[tuple[int, int]]]:
-    """Rows of the Morse differential behind degree i: the critical cells with k - i + 1 parts into
-    those with k - i, mod ``modulus`` (p or p^2 for the matching's p; Q for 0), in some orientation.
-
-    The flow runs from the faces of the upper critical cells and from the cofaces of the lower ones
-    at once, one step each, and the first side to finish gives the rows; the other side's would be
-    their transpose, which has the same rank and elementary divisors.  Neither side is cheaper
-    throughout: the winner changes from degree to degree (trivial system over F_3 at k = 18: faces
-    in 6 degrees, cofaces in 8), and a side fixed per (system, p) loses to the lockstep in 13
-    trivial-system cases at k <= 18.  Only coefficients nonzero mod ``modulus`` are followed.
-    """
-    faces, cofaces = _neighbours([[v % modulus for v in row] for row in s] if modulus else s)
+def _morse_rows(matching: _Matching, s: list[list[int]], i: int) -> list[list[tuple[int, int]]]:
+    """Rows mod p^2 of the matching's Morse differential from the critical cells with k - i + 1 parts to
+    those with k - i: the flows from both ends run in lockstep, and the first to finish gives the rows
+    (the other's are their transpose, with the same divisors; the winner changes from degree to degree)."""
+    faces, cofaces = _neighbours([[v % matching.p ** 2 for v in row] for row in s])
     r = matching.k - i
-    sides = (_flow(matching, matching.critical.get(r + 1, ()), faces, False, modulus),
-             _flow(matching, matching.critical.get(r, ()), cofaces, True, modulus))
+    sides = (_flow(matching, matching.critical.get(r + 1, ()), faces, False),
+             _flow(matching, matching.critical.get(r, ()), cofaces, True))
     while True:
         for side in sides:
             try:
@@ -398,37 +405,29 @@ def _morse_rows(matching: _Matching, s: list[list[int]], i: int, modulus: int) -
 def _homology(k: int, system: str, ring: Ring, through: int | None) -> GradedAbelianGroup:
     """H_i(C_k; system x ring) for i up to ``through`` (defaults to all), one degree at a time.
 
-    A ring is a list of moduli, each giving d_i one rank: Q is [0], F_p is [p], Z is [0] and every
-    prime p <= k.  Each modulus ranks d_i as its matching's pairs across degree i plus the rank of
-    its Morse rows (see the module docstring).  Degree i has comb(k-1, i) - r_i - r_(i+1) free
-    generators, r_i the rank over the first modulus.  Over Z, degree i-1 has r_Q - r_p copies of
-    Z/p by universal coefficients, once :func:`p_local_ranks` certifies them on the F_p Morse rows
-    mod p^2, with the pairs counted as units: if a + b is not r_Q, p^2 divides a divisor, against
-    F. Cohen's exponent-p theorem (Cohen-Lada-May, LNM 533, III), and :class:`CellModelError` is
-    raised.  Where r_p = r_Q no divisor is divisible by p, so there is nothing to certify.
-
-    No prime q > k divides a divisor: F(C, k) -> C_k is a k!-sheeted cover that makes the
-    system trivial, and transfer then projection is multiplication by k!, so H_*(C_k; L x
-    Z[1/k!]) is a summand of the free H_*(F(C, k); Z[1/k!]) (Arnold).
+    A ring is a list of moduli: Q is [0], F_p is [p], Z is [0] and every prime p <= k.  Each ranks d_i
+    as its matching's pairs across degree i, and degree i has comb(k-1, i) - r_i - r_(i+1) free
+    generators, r_i the first modulus's rank.  Over Z, degree i-1 has r_Q - r_p copies of Z/p by
+    universal coefficients, once :func:`p_local_ranks` certifies on the Morse rows mod p^2, the pairs
+    counted as units, that no divisor is divisible by p^2, as F. Cohen's exponent-p theorem says
+    (Cohen-Lada-May, LNM 533, III); else :class:`CellModelError` is raised.  No prime q > k divides a
+    divisor: the k!-sheeted cover F(C, k) -> C_k makes the system trivial, so by transfer (Arnold)
+    H_*(C_k; L x Z[1/k!]) is a summand of the free H_*(F(C, k); Z[1/k!]).
     """
     hi = k - 1 if through is None else min(through, k - 1)
     moduli = [0, *(p for p in range(2, k + 1) if is_prime(p))] if ring == Z else [ring.p or 0]
     s = _merge_coefficients(k, system)
-    matchings = {m: _Matching(k, system, s, m) for m in moduli}
-    ranks, torsion = {}, {i: [] for i in range(k)}
+    first, *local = (_Matching(k, system, s, m) for m in moduli)
+    rank, torsion = [first.pairs.get(k - i, 0) for i in range(k + 1)], {i: [] for i in range(k)}
     for i in range(1, min(hi + 1, k - 1) + 1):
-        pairs = {m: matchings[m].pairs[k - i] for m in moduli}
-        rows = {m: _morse_rows(matchings[m], s, i, m) for m in moduli}
-        r = [pairs[m] + len(rank_mod_p_rows(rows[m], m) if m else rank_int_rows(rows[m])) for m in moduli]
-        ranks[i] = r[0]
-        for p, r_p in zip(moduli[1:], r[1:]):
-            if r_p < r[0] and pairs[p] + sum(p_local_ranks(_morse_rows(matchings[p], s, i, p * p), p)) != r[0]:
+        for matching in local:
+            p, r_p = matching.p, matching.pairs[k - i]
+            if r_p < rank[i] and r_p + sum(p_local_ranks(_morse_rows(matching, s, i), p)) != rank[i]:
                 raise CellModelError(f"integral homology of C_{k} ({system} system) in degree {i - 1}: "
                                      f"an elementary divisor is divisible by {p}^2; no table is given")
-            torsion[i - 1] += [p] * (r[0] - r_p)
+            torsion[i - 1] += [p] * (rank[i] - r_p)
     return GradedAbelianGroup({
-        i: AbelianGroup.from_orders(comb(k - 1, i) - ranks.get(i, 0) - ranks.get(i + 1, 0), torsion[i])
-        for i in range(hi + 1)
+        i: AbelianGroup.from_orders(comb(k - 1, i) - rank[i] - rank[i + 1], torsion[i]) for i in range(hi + 1)
     })
 
 

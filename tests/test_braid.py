@@ -178,18 +178,6 @@ def _full_row_leads(k, system, modulus):
     return [eliminate(rows, modulus) for rows in _full_rows(k, system)]
 
 
-def _spy_on_the_kernel(monkeypatch):
-    """Record the rows and the leads of every rank ``braid`` asks of the kernel, in call order."""
-    calls = []
-    for name in ("rank_int_rows", "rank_mod_p_rows"):
-        def spy(rows, *p, _real=getattr(braid, name)):
-            calls.append((rows, _real(rows, *p)))
-            return calls[-1][1]
-
-        monkeypatch.setattr(braid, name, spy)
-    return calls
-
-
 MORSE_MODULI = (0, 2, 3, 5, 7, 11, 13)
 
 
@@ -228,49 +216,74 @@ def test_matching_is_an_involution_and_the_dfs_finds_every_critical_cell():
                 assert [matching.pairs[r] for r in range(1, k + 1)] == up[1:], (k, system, p)
 
 
-def test_morse_ranks_match_full_row_elimination(monkeypatch):
-    # the pairs across a degree plus the rank of its Morse rows is the rank of the full rows
-    calls = _spy_on_the_kernel(monkeypatch)
+def test_morse_ranks_match_full_row_elimination():
+    # no Morse differential over a field survives, so the pairs across a degree alone are the rank
+    # of its full rows, and the table's free ranks follow from them
     for k in range(2, 15):
         for system in (TRIVIAL, SIGN):
             s = braid._merge_coefficients(k, system)
             for m in MORSE_MODULI:
-                calls.clear()
-                config_homology(k, system, GF(m) if m else Q, k_max=14)
                 pairs = braid._Matching(k, system, s, m).pairs
-                got = [pairs[k - i] + len(leads) for i, (_, leads) in enumerate(calls, start=1)]
-                assert got == [len(leads) for leads in _full_row_leads(k, system, m)], (k, system, m)
+                ranks = [0, *(len(leads) for leads in _full_row_leads(k, system, m)), 0]
+                assert [pairs[k - i] for i in range(1, k)] == ranks[1:-1], (k, system, m)
+                table = config_homology(k, system, GF(m) if m else Q, k_max=14)
+                assert [table.free_rank(i) for i in range(k)] == \
+                    [comb(k - 1, i) - ranks[i] - ranks[i + 1] for i in range(k)], (k, system, m)
 
 
 def _refuse_enumeration(*args):
     raise AssertionError("a table enumerated every cell")
 
 
+def _refuse_rank(*args):
+    raise AssertionError("a table took a field rank")
+
+
 @pytest.mark.parametrize("system", [TRIVIAL, SIGN])
 def test_each_degree_ranks_only_critical_cells(monkeypatch, system):
-    # over Z each modulus makes one rank call per degree, on the rows of one end's critical cells,
-    # and no full row is built; each certificate, pairs counted as units, equals the full rows' one
+    # over Z no modulus makes a field rank call: the only eliminations are the certificates', on
+    # the mod p^2 Morse rows of one end's critical cells, and no full row is built; each
+    # certificate, pairs counted as units, equals the full rows' one
     k, moduli = 12, (0, 2, 3, 5, 7, 11)
     s = braid._merge_coefficients(k, system)
     matchings = {m: braid._Matching(k, system, s, m) for m in moduli}
-    calls = _spy_on_the_kernel(monkeypatch)
-    local = []
-    real_local = braid.p_local_ranks
+    eliminated, local, degrees = [], [], []
+    real_eliminate, real_local, real_rows = linalg.eliminate, braid.p_local_ranks, braid._morse_rows
+
+    def rows_spy(matching, s, i):
+        rows = real_rows(matching, s, i)
+        critical = matching.critical
+        assert len(rows) in (len(critical.get(k - i + 1, ())), len(critical.get(k - i, ()))), (i, matching.p)
+        degrees.append(i)
+        return rows
 
     def local_spy(rows, p):
-        local.append((len(calls) // len(moduli), p, real_local(rows, p)))  # degree i ranked every modulus
+        local.append((degrees[-1], p, real_local(rows, p)))
         return local[-1][2]
 
     monkeypatch.setattr(braid, "combinations", _refuse_enumeration)
+    monkeypatch.setattr(braid, "_morse_rows", rows_spy)
     monkeypatch.setattr(braid, "p_local_ranks", local_spy)
+    monkeypatch.setattr(linalg, "eliminate", lambda rows, modulus: eliminated.append(modulus) or
+                        real_eliminate(rows, modulus))
+    for name in ("rank_int_rows", "rank_mod_p_rows"):
+        monkeypatch.setattr(braid, name, _refuse_rank)
     config_homology(k, system, Z, k_max=k)
-    assert len(calls) == len(moduli) * (k - 1)
-    for n, (rows, _) in enumerate(calls):
-        i, critical = n // len(moduli) + 1, matchings[moduli[n % len(moduli)]].critical
-        assert len(rows) in (len(critical.get(k - i + 1, ())), len(critical.get(k - i, ()))), (i, n)
-    assert local
+    assert local and eliminated == [p for _, p, _ in local]
     for i, p, (a, b) in local:
         assert (matchings[p].pairs[k - i] + a, b) == real_local(_lexicographic_rows(k, system, i), p), (i, p)
+
+
+def test_field_tables_run_no_flow(monkeypatch):
+    # the content check settles every field rank: no flow and no elimination runs
+    calls = []
+    monkeypatch.setattr(braid, "_flow", lambda *args: calls.append(args))
+    monkeypatch.setattr(linalg, "eliminate", lambda *args: calls.append(args))
+    for k in range(1, 31):
+        for system in (TRIVIAL, SIGN):
+            for ring in (GF(2), GF(3), GF(5), GF(7), Q):
+                config_homology(k, system, ring, k_max=30)
+    assert calls == []
 
 
 def test_tables_build_no_full_row(monkeypatch):
@@ -282,25 +295,122 @@ def test_tables_build_no_full_row(monkeypatch):
 
 def test_a_cyclic_matching_is_refused_quickly():
     # a planted matching splits (1,3), (2,2), (3,1) into (1,1,2), (2,1,1), (1,2,1); each partner's
-    # other face is the next cell, so the flow comes back to where it started
+    # other face is the next cell, so the mod 25 flow comes back to where it started (every
+    # coefficient on the way is a unit mod 5, so no step uses up the room for one divisible by 5)
     s = braid._merge_coefficients(4, SIGN)
-    matching = braid._Matching(4, SIGN, s, 0)
+    matching = braid._Matching(4, SIGN, s, 5)
     matching.partner = {(1, 3): ((1, 1, 2), False), (2, 2): ((2, 1, 1), False), (3, 1): ((1, 2, 1), False),
                         (1, 1, 2): ((1, 3), True), (2, 1, 1): ((2, 2), True), (1, 2, 1): ((3, 1), True)}.get
     matching.critical = {3: [(1, 1, 2)], 2: [(2, 2)]}
     started = time.perf_counter()
     with pytest.raises(CellModelError, match="cycle"):
-        braid._morse_rows(matching, s, 2, 0)
+        braid._morse_rows(matching, s, 2)
     assert time.perf_counter() - started < 1
+
+
+def _gradient_order(cells, faces, partner):
+    """A topological order of the face graph with the matched edges reversed, or None if it has a cycle.
+
+    Each cell points at its faces of nonzero integer coefficient, except the one it is matched
+    down to; a cell matched up points at its mate as well.  Kahn's algorithm.
+    """
+    out = {}
+    for cell in cells:
+        targets = [face for face, _ in faces(cell)]
+        hit = partner(cell)
+        if hit is not None:
+            mate, merge = hit
+            if merge:
+                targets.remove(mate)
+            else:
+                targets.append(mate)
+        out[cell] = targets
+    indegree = dict.fromkeys(out, 0)
+    for targets in out.values():
+        for target in targets:
+            indegree[target] += 1
+    ready = [cell for cell, n in indegree.items() if not n]
+    order = []
+    while ready:
+        order.append(cell := ready.pop())
+        for target in out[cell]:
+            indegree[target] -= 1
+            if not indegree[target]:
+                ready.append(target)
+    return order if len(order) == len(out) else None
+
+
+def test_every_matching_is_acyclic_without_a_flow():
+    # the whole integral face graph, matched edges reversed, sorts topologically: no gradient path
+    # closes, over F_p and over Z_(p) alike, for the mod p^2 flows
+    for k in range(1, 13):
+        cells = _compositions(k)
+        for system in (TRIVIAL, SIGN):
+            s = braid._merge_coefficients(k, system)
+            faces, _ = braid._neighbours(s)
+            for p in MORSE_MODULI:
+                assert _gradient_order(cells, faces, braid._Matching(k, system, s, p).partner), (k, system, p)
+    # a planted split of the critical (2, 2) up to (1, 1, 2), which keeps its face (2, 2): a 2-cycle
+    s = braid._merge_coefficients(4, SIGN)
+    faces, _ = braid._neighbours(s)
+    real = braid._Matching(4, SIGN, s, 2).partner
+    assert real((2, 2)) is real((1, 1, 2)) is None
+    assert _gradient_order(_compositions(4), faces, lambda c: ((1, 1, 2), False) if c == (2, 2) else real(c)) is None
+
+
+@cache
+def _critical_count_table(p, system, through):
+    return loop_space_series(2, p, 2 * through if system == SIGN else through, system)
+
+
+def test_critical_cells_number_the_closed_form_with_distinct_contents():
+    # one critical cell per class of F. Cohen's closed form, over Q and every F_p with p <= k, and
+    # no two critical cells share a content, so no Morse differential over a field survives
+    for k in range(1, 41):
+        for system in (TRIVIAL, SIGN):
+            s = braid._merge_coefficients(k, system)
+            shift = k if system == SIGN else 0
+            for p in (0, *(p for p in range(2, k + 1) if is_prime(p))):
+                matching = braid._Matching(k, system, s, p)
+                want = _critical_count_table(p, system, 40)[k][shift:shift + k]
+                assert [len(matching.critical.get(k - i, ())) for i in range(k)] == want, (k, system, p)
+                contents = [sum(matching.code[a] for a in cell) for cells in matching.critical.values() for cell in cells]
+                assert len(set(contents)) == len(contents), (k, system, p)
+
+
+def test_a_content_clash_is_refused(monkeypatch):
+    # (1, 1) and (2) planted as critical over F_3, where they are a pair: both have the content 2,
+    # so the Morse differential between them need not vanish, and no rank is read off the pairs
+    monkeypatch.setattr(braid._Matching, "_critical_cells", lambda self: {2: [(1, 1)], 1: [(2,)]})
+    with pytest.raises(CellModelError, match="critical cells with 1 and 2 parts share a content"):
+        config_homology(2, SIGN, GF(3), k_max=2)
+    with pytest.raises(CellModelError, match="share a content"):
+        config_homology(2, SIGN, Z, k_max=2)
+
+
+def test_a_face_that_changes_the_content_is_refused(monkeypatch):
+    # s(1, 2) = 3 planted as 4: a merge that carries mod 3 would then count, and the content
+    # argument would not hold
+    real = braid._merge_coefficients
+
+    def planted(k, system):
+        s = real(k, system)
+        s[1][2] = 4
+        return s
+
+    monkeypatch.setattr(braid, "_merge_coefficients", planted)
+    with pytest.raises(CellModelError, match=r"merge \(1, 2\) changes the content"):
+        config_homology(3, SIGN, GF(3), k_max=3)
+    assert config_homology(3, SIGN, GF(5), k_max=3)
 
 
 def test_matching_refuses_a_merge_that_is_not_a_unit(monkeypatch):
     # doubling the signed shuffle sums with a + b >= 9 keeps d^2 = 0 at k = 9, but the F_2 matching
-    # pairs on the merge (1, 8), whose coefficient becomes 2; mod 3 it is still a unit
+    # pairs on the merge (8, 1), whose coefficient becomes 2; mod 3 it is still a unit
     real = braid.shuffle_sum
     monkeypatch.setattr(braid, "shuffle_sum",
                         lambda a, b, signed: real(a, b, signed) * (2 if signed and a + b >= 9 else 1))
-    with pytest.raises(CellModelError, match=r"merge \(1, 8\).* not a unit mod 2"):
+    with pytest.raises(CellModelError, match=r"merge \(8, 1\).* not a unit mod 2"):
         config_homology(9, TRIVIAL, GF(2), k_max=9)
     with pytest.raises(CellModelError, match="not a unit mod 2"):
         config_homology(9, TRIVIAL, Z, k_max=9)
@@ -455,12 +565,12 @@ def test_local_certificate_runs_only_where_there_is_torsion(monkeypatch):
 
 @pytest.mark.parametrize("system", [TRIVIAL, SIGN])
 def test_planted_p_squared_divisor_is_refused(monkeypatch, system):
-    # nine times the Morse rows of a degree where the F_3 Morse differential has positive rank: the
-    # F_3 rank falls to the pairs, and mod 9 no Morse divisor has 3-valuation 0 or 1
-    k, degree = {TRIVIAL: (12, 10), SIGN: (6, 4)}[system]
+    # nine times the mod-9 Morse rows of a degree with 3-torsion (H_5 = Z/6 of C_12, H_2 = Z/6 of
+    # C_6): they vanish, so the certificate counts only the pairs, below the rank over Q
+    k, degree = {TRIVIAL: (12, 6), SIGN: (6, 3)}[system]
     real = braid._morse_rows
-    monkeypatch.setattr(braid, "_morse_rows", lambda matching, s, i, modulus: [
-        [(j, 9 * v if i == degree else v) for j, v in row] for row in real(matching, s, i, modulus)])
+    monkeypatch.setattr(braid, "_morse_rows", lambda matching, s, i: [
+        [(j, 9 * v if i == degree else v) for j, v in row] for row in real(matching, s, i)])
     with pytest.raises(CellModelError, match=r"divisible by 3\^2"):
         config_homology(k, system, Z, k_max=k)
 

@@ -355,7 +355,7 @@ def test_failed_self_check_exits_two(tmp_path, capsys, monkeypatch):
 @pytest.fixture
 def planted_shuffle_fault(monkeypatch):
     # doubling the signed shuffle sums with a + b >= 9 keeps d.d = 0 through
-    # k = 10, but the F_2 matching pairs on the merge (1, 8), now even, so the
+    # k = 10, but the F_2 matching pairs on the merge (8, 1), now even, so the
     # integral trivial table refuses k = 9 instead of giving a wrong table
     real = braid.shuffle_sum
 
@@ -441,6 +441,21 @@ def test_large_prime_ring_answers_quickly(tmp_path):
     assert elapsed < 2, f"took {elapsed:.2f}s"
 
 
+def test_f3_table_through_k60_answers_quickly(tmp_path):
+    # summands 1..60 over F_3: the content check settles every rank, so no flow walks the cells
+    started = time.perf_counter()
+    done = run_process(
+        "-m", "polystab.cli", "betti", "--d", "60", "--m", "2", "--n", "1", "--k-max", "60",
+        "--ring", "f3", "--json", "--cache-dir", str(tmp_path), timeout=30,
+    )
+    elapsed = time.perf_counter() - started
+    assert done.returncode == 0, done.stderr
+    want = [sum(column) for column in zip(*verify.loop_space_series(2, 3, 120)[:61])]
+    got = json.loads(done.stdout)["result"]["homology"]
+    assert {int(j): dims for j, dims in got.items()} == {j: [n, []] for j, n in enumerate(want) if n}
+    assert elapsed < 5, f"took {elapsed:.2f}s"
+
+
 def test_ring_past_primality_bound_exits_one(capsys):
     code, _, err = run(capsys, "betti", "--d", "2", "--m", "2", "--n", "2", "--ring", f"f{2**89 - 1}")
     assert code == 1
@@ -449,7 +464,7 @@ def test_ring_past_primality_bound_exits_one(capsys):
 
 def test_benchmark_tracer_binds_package_layers(tmp_path):
     cases = [
-        (("betti", "--d", "4", "--m", "1", "--n", "2"), None, {"spaces.poly_homology", "linalg.rank_q"}),
+        (("betti", "--d", "4", "--m", "1", "--n", "2"), None, {"spaces.poly_homology", "braid.config_homology"}),
         (("count", "--d", "2", "--m", "2", "--n", "2", "--p", "3"), None,
          {"ffield.count_points", "ffield.closed_form"}),
         (("jet", "--n", "2"), "0,0,1\n", {"jets.check"}),
@@ -603,10 +618,10 @@ def test_failed_local_certificate_exits_two(capsys, monkeypatch):
 
 
 def test_planted_p_squared_divisor_exits_two(capsys, monkeypatch):
-    # nine times the degree-4 Morse rows, where the F_3 Morse differential of C_6 has rank 1
+    # nine times the mod-9 Morse rows of degree 3, where C_6 has the 3-torsion H_2 = Z/6
     real = braid._morse_rows
-    monkeypatch.setattr(braid, "_morse_rows", lambda matching, s, i, modulus: [
-        [(j, 9 * v if i == 4 else v) for j, v in row] for row in real(matching, s, i, modulus)])
+    monkeypatch.setattr(braid, "_morse_rows", lambda matching, s, i: [
+        [(j, 9 * v if i == 3 else v) for j, v in row] for row in real(matching, s, i)])
     code, out, err = run(capsys, "betti", "--d", "12", "--m", "1", "--n", "2", "--json")
     assert code == 2
     assert "divisible by 3^2" in json.loads(out)["error"]["message"]
