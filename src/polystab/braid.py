@@ -111,11 +111,15 @@ differential is zero, and d_i has rank the pairs across degree i.
 adjacent part counts in O(#critical cells), and raises if one fails.
 
 Over Z_(p), reducing a pair is a unit pivot, so the merge map's elementary
-divisors are the F_p pairs, as units, and those of the F_p Morse
-differential, which :func:`p_local_ranks` certifies mod p^2.  The flow gives
-it: Phi(tau) is tau when tau is critical, 0 when tau's partner has fewer
+divisors are the F_p pairs, as units, and those of the Morse differential D
+over Z_(p), which sums the gradient paths, each weighing the product of its
+steps: Phi(tau) is tau when tau is critical, 0 when tau's partner has fewer
 parts, else -[d sigma : tau]^(-1) sum_(tau' != tau) [d sigma : tau'] Phi(tau')
-over the other faces of its partner sigma.
+over the other faces of its partner sigma.  A path *carries* at a step
+divisible by p.  One that never carries keeps the content, so it joins no two
+critical cells: D = 0 mod p.  One that carries twice is 0 mod p^2.  So D/p mod
+p, the first Bockstein, sums the paths that carry once, the carry divided by
+p; D's divisors are all exactly p iff the F_p rank of D/p is D's rank over Q.
 """
 
 from __future__ import annotations
@@ -124,18 +128,17 @@ from itertools import combinations
 from math import comb
 
 from .abelian import AbelianGroup, GradedAbelianGroup
-# braid.rank_int_rows and braid.rank_mod_p_rows stay bound only for perfbench/tracer.py (ROADMAP item 1)
-from .linalg import p_local_ranks, rank_int_rows, rank_mod_p_rows  # noqa: F401
 from .rings import DEFAULT_K_MAX, CellModelError, Ring, Z, is_prime
 
 TRIVIAL = "trivial"
 SIGN = "sign"
 
 
-def __getattr__(name: str):  # PEP 562: only perfbench/tracer.py wraps braid.complex_homology (ROADMAP item 1)
-    if name == "complex_homology":
-        from .complexes import complex_homology
-        return complex_homology
+def __getattr__(name: str):  # PEP 562: names bound here only for perfbench/tracer.py to wrap
+    home = {"complex_homology": "complexes", "rank_int_rows": "linalg", "rank_mod_p_rows": "linalg"}.get(name)
+    if home is not None:
+        from importlib import import_module
+        return getattr(import_module(f".{home}", __package__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -329,22 +332,23 @@ class _Matching:
 
 
 def _flow(matching: _Matching, starts, neighbours, upward: bool):
-    """Generator of one side of the Morse differential mod p^2: one step per memoised cell, rows on return.
+    """Generator of one side of D/p over F_p (module docstring): one step per memoised state, rows on return.
 
-    A start's row sums v Phi(c) over its (c, v) in ``neighbours`` (Phi as in the module docstring);
-    ``upward`` flows through cofaces, else through faces.  A path may take one coefficient divisible
-    by p, as two multiply to 0 mod p^2, so a state is a cell and how many such steps it may still
-    take.  A state revisited before its value is known is a cycle and raises :class:`CellModelError`.
+    A start's row sums v Phi(c) over its (c, v) in ``neighbours``, the exact faces (``upward``: cofaces)
+    of the merge table.  A state is a cell and whether its path has carried: a unit step weighs w mod p,
+    the one carry (w / p) mod p, and a step of weight 0 or a second carry is dropped.  A state that
+    reaches a critical cell without having carried, which would make D nonzero mod p, or that is
+    revisited before its value is known, a cycle, raises :class:`CellModelError`.
     """
-    p, modulus, partner = matching.p, matching.p ** 2, matching.partner
+    p, partner = matching.p, matching.partner
     memo, columns, rows, zero, pending = {}, {}, [], {}, {}
 
-    def steps(pairs, left):  # the states reached through these (cell, coefficient) pairs
-        return [((d, left - cost), w) for d, w in pairs if (cost := w % p == 0) <= left]
+    def steps(pairs, carried):  # the states reached through these (cell, coefficient) pairs, with their weights
+        return [((d, carried or not w % p), x) for d, w in pairs if (x := w % p or (0 if carried else w // p % p))]
 
     for start in starts:
         row = {}
-        for state, v in steps(neighbours(start), 1):
+        for state, v in steps(neighbours(start), False):
             stack = [state]
             while stack:
                 key = stack[-1]
@@ -354,8 +358,11 @@ def _flow(matching: _Matching, starts, neighbours, upward: bool):
                 if key in pending:  # back from its dependencies
                     own, deps = pending.pop(key)
                 else:
-                    c, left = key
+                    c, carried = key
                     hit = partner(c)
+                    if hit is None and not carried:
+                        raise CellModelError(f"a gradient path with no coefficient divisible by {p} reaches the "
+                                             f"critical cell {c} (k={matching.k}, {matching.system} system)")
                     if hit is None or hit[1] != upward:
                         memo[key] = zero if hit else {columns.setdefault(c, len(columns)): 1}
                         stack.pop()
@@ -363,7 +370,7 @@ def _flow(matching: _Matching, starts, neighbours, upward: bool):
                         continue
                     pairs = neighbours(hit[0])
                     own = next(w for d, w in pairs if d == c)
-                    deps = [(s, w) for s, w in steps(pairs, left) if s[0] != c]
+                    deps = [(s, w) for s, w in steps(pairs, carried) if s[0] != c]
                     missing = [s for s, _ in deps if s not in memo]
                     if missing:
                         if not pending.keys().isdisjoint(missing):
@@ -372,25 +379,25 @@ def _flow(matching: _Matching, starts, neighbours, upward: bool):
                         pending[key] = own, deps
                         stack += missing
                         continue
-                scale = -pow(own, -1, modulus)
+                scale = -pow(own, -1, p)
                 value = {}
                 for s, w in deps:
                     for col, x in memo[s].items():
                         value[col] = value.get(col, 0) + scale * w * x
-                memo[key] = {col: y for col, x in value.items() if (y := x % modulus)} or zero
+                memo[key] = {col: y for col, x in value.items() if (y := x % p)} or zero
                 stack.pop()
                 yield
             for col, x in memo[state].items():
                 row[col] = row.get(col, 0) + v * x
-        rows.append([(col, y) for col, x in row.items() if (y := x % modulus)])
+        rows.append([(col, y) for col, x in row.items() if (y := x % p)])
     return rows
 
 
-def _morse_rows(matching: _Matching, s: list[list[int]], i: int) -> list[list[tuple[int, int]]]:
-    """Rows mod p^2 of the matching's Morse differential from the critical cells with k - i + 1 parts to
-    those with k - i: the flows from both ends run in lockstep, and the first to finish gives the rows
-    (the other's are their transpose, with the same divisors; the winner changes from degree to degree)."""
-    faces, cofaces = _neighbours([[v % matching.p ** 2 for v in row] for row in s])
+def _morse_rows(matching: _Matching, neighbours, i: int) -> list[list[tuple[int, int]]]:
+    """Rows over F_p of D/p from the critical cells with k - i + 1 parts to those with k - i, over the exact
+    (faces, cofaces) ``neighbours``: the flows from both ends run in lockstep, and the first to finish
+    gives the rows (the other's are their transpose; the winner changes from degree to degree)."""
+    faces, cofaces = neighbours
     r = matching.k - i
     sides = (_flow(matching, matching.critical.get(r + 1, ()), faces, False),
              _flow(matching, matching.critical.get(r, ()), cofaces, True))
@@ -408,21 +415,24 @@ def _homology(k: int, system: str, ring: Ring, through: int | None) -> GradedAbe
     A ring is a list of moduli: Q is [0], F_p is [p], Z is [0] and every prime p <= k.  Each ranks d_i
     as its matching's pairs across degree i, and degree i has comb(k-1, i) - r_i - r_(i+1) free
     generators, r_i the first modulus's rank.  Over Z, degree i-1 has r_Q - r_p copies of Z/p by
-    universal coefficients, once :func:`p_local_ranks` certifies on the Morse rows mod p^2, the pairs
-    counted as units, that no divisor is divisible by p^2, as F. Cohen's exponent-p theorem says
-    (Cohen-Lada-May, LNM 533, III); else :class:`CellModelError` is raised.  No prime q > k divides a
-    divisor: the k!-sheeted cover F(C, k) -> C_k makes the system trivial, so by transfer (Arnold)
+    universal coefficients, once the F_p rank of D/p (:func:`_morse_rows`) makes up r_Q - r_p, which
+    certifies that no divisor is divisible by p^2, as F. Cohen's exponent-p theorem says (Cohen-Lada-May,
+    LNM 533, III); else :class:`CellModelError` is raised.  No prime q > k divides a divisor: the
+    k!-sheeted cover F(C, k) -> C_k makes the system trivial, so by transfer (Arnold)
     H_*(C_k; L x Z[1/k!]) is a summand of the free H_*(F(C, k); Z[1/k!]).
     """
     hi = k - 1 if through is None else min(through, k - 1)
     moduli = [0, *(p for p in range(2, k + 1) if is_prime(p))] if ring == Z else [ring.p or 0]
     s = _merge_coefficients(k, system)
     first, *local = (_Matching(k, system, s, m) for m in moduli)
+    if local:  # the primes of a Z table, each certified on the exact faces
+        from .linalg import eliminate
+        neighbours = _neighbours(s)
     rank, torsion = [first.pairs.get(k - i, 0) for i in range(k + 1)], {i: [] for i in range(k)}
     for i in range(1, min(hi + 1, k - 1) + 1):
         for matching in local:
             p, r_p = matching.p, matching.pairs[k - i]
-            if r_p < rank[i] and r_p + sum(p_local_ranks(_morse_rows(matching, s, i), p)) != rank[i]:
+            if r_p < rank[i] and r_p + len(eliminate(_morse_rows(matching, neighbours, i), p)) != rank[i]:
                 raise CellModelError(f"integral homology of C_{k} ({system} system) in degree {i - 1}: "
                                      f"an elementary divisor is divisible by {p}^2; no table is given")
             torsion[i - 1] += [p] * (rank[i] - r_p)

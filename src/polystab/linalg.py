@@ -5,8 +5,8 @@ dense (every entry addressable) and feeds Smith normal form.  Ranks over Q and
 every F_p, F_2 included, come from one sparse kernel, :func:`eliminate`, which
 takes rows as lists of ``(column, value)`` pairs; ``IntMatrix.sparse_rows``
 converts a dense matrix, and sparse builders pass their rows straight in.
-Integral tables take their torsion from those ranks, and :func:`p_local_ranks` certifies
-it; Smith normal form is the dense oracle.
+Integral tables take their torsion from ranks, certified by the F_p rank of the
+Morse differential divided by p; Smith normal form is the dense oracle.
 """
 
 from __future__ import annotations
@@ -248,38 +248,6 @@ def eliminate(rows: list[list[tuple[int, int]]], modulus: int) -> set[int]:
                 if content > 1:
                     work = {j: x // content for j, x in work.items()}
     return set(pivots)
-
-
-def p_local_ranks(rows: list[list[tuple[int, int]]], p: int) -> tuple[int, int]:
-    """Numbers (a, b) of elementary divisors of sparse integer rows with p-adic valuation 0 and 1.
-
-    This is a certificate, not a rank engine: a + b falls short of the rank over Q iff p^2
-    divides a divisor (Dumas-Saunders-Villard, J. Symb. Comput. 32, 2001), so it only needs to
-    run where the F_p rank is below the Q rank.  Rows are reduced mod p^2 by unit pivots only
-    (a row's lead is its smallest column holding an entry prime to p), so a is the F_p rank; a
-    row left with no unit entry is p T.  The Schur complement of the unit block is p times the
-    T rows reduced by the pivots, so b is the F_p rank of pivots and T rows together, minus a.
-    """
-    q = p * p
-    pivots: dict[int, dict[int, int]] = {}
-    rest = []
-    for row in rows:
-        work = {j: v % q for j, v in row if v % q}
-        while (lead := min((j for j, v in work.items() if v % p), default=None)) is not None:
-            pivot = pivots.get(lead)
-            if pivot is None:
-                pivots[lead] = work
-                break
-            v = work[lead] * pow(pivot[lead], -1, q)
-            for j, w in pivot.items():
-                x = (work.get(j, 0) - v * w) % q
-                if x:
-                    work[j] = x
-                else:
-                    del work[j]
-        else:
-            rest.append([(j, v // p) for j, v in work.items()])
-    return len(pivots), len(eliminate([list(pivot.items()) for pivot in pivots.values()] + rest, p)) - len(pivots)
 
 
 def rank_int_rows(rows: list[list[tuple[int, int]]]) -> set[int]:

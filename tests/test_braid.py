@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from functools import cache
 from itertools import combinations
@@ -19,7 +20,7 @@ from polystab.braid import (
 )
 from polystab.cache import HomologyCache
 from polystab.complexes import ChainComplex, complex_homology
-from polystab.linalg import IntMatrix, eliminate
+from polystab.linalg import IntMatrix, eliminate, smith_normal_form
 from polystab.rings import GF, Q, Z, is_prime
 from polystab.verify import loop_space_series
 
@@ -239,39 +240,133 @@ def _refuse_rank(*args):
     raise AssertionError("a table took a field rank")
 
 
+def _p_local_ranks(rows: list[list[tuple[int, int]]], p: int) -> tuple[int, int]:
+    """Numbers (a, b) of elementary divisors of sparse integer rows with p-adic valuation 0 and 1.
+
+    This is a certificate, not a rank engine: a + b falls short of the rank over Q iff p^2
+    divides a divisor (Dumas-Saunders-Villard, J. Symb. Comput. 32, 2001), so it only needs to
+    run where the F_p rank is below the Q rank.  Rows are reduced mod p^2 by unit pivots only
+    (a row's lead is its smallest column holding an entry prime to p), so a is the F_p rank; a
+    row left with no unit entry is p T.  The Schur complement of the unit block is p times the
+    T rows reduced by the pivots, so b is the F_p rank of pivots and T rows together, minus a.
+    """
+    q = p * p
+    pivots: dict[int, dict[int, int]] = {}
+    rest = []
+    for row in rows:
+        work = {j: v % q for j, v in row if v % q}
+        while (lead := min((j for j, v in work.items() if v % p), default=None)) is not None:
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = work
+                break
+            v = work[lead] * pow(pivot[lead], -1, q)
+            for j, w in pivot.items():
+                x = (work.get(j, 0) - v * w) % q
+                if x:
+                    work[j] = x
+                else:
+                    del work[j]
+        else:
+            rest.append([(j, v // p) for j, v in work.items()])
+    return len(pivots), len(eliminate([list(pivot.items()) for pivot in pivots.values()] + rest, p)) - len(pivots)
+
+
+def _valuation(x, p):
+    e = 0
+    while x % p == 0:
+        x //= p
+        e += 1
+    return e
+
+
+def _unimodular(rng, n):
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            t = rng.randint(-3, 3)
+            u[i] = [x + t * y for x, y in zip(u[i], u[j])]
+    return _matrix(u, n)
+
+
+def test_p_local_ranks_match_smith_valuations():
+    # U D V with planted divisors 1, p, p^2, p^3, a prime-to-p unit and 0
+    rng = random.Random(29)
+    for p in (2, 3, 5, 7):
+        for _ in range(150):
+            rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+            diagonal = [[0] * cols for _ in range(rows)]
+            for t in range(min(rows, cols)):
+                diagonal[t][t] = rng.choice([1, p, p, p * p, p**3, 11 * p, 13, 0])
+            m = _unimodular(rng, rows).mul(_matrix(diagonal, cols)).mul(_unimodular(rng, cols))
+            factors = smith_normal_form(m).invariant_factors
+            want = tuple(sum(1 for f in factors if _valuation(f, p) == e) for e in (0, 1))
+            assert _p_local_ranks(m.sparse_rows(), p) == want, (m.entries, p)
+
+
 @pytest.mark.parametrize("system", [TRIVIAL, SIGN])
 def test_each_degree_ranks_only_critical_cells(monkeypatch, system):
     # over Z no modulus makes a field rank call: the only eliminations are the certificates', on
-    # the mod p^2 Morse rows of one end's critical cells, and no full row is built; each
-    # certificate, pairs counted as units, equals the full rows' one
+    # the rows of D/p between one end's critical cells, and no full row is built; the pairs and
+    # the F_p rank of D/p count the full rows' divisors of p-adic valuation 0 and 1
     k, moduli = 12, (0, 2, 3, 5, 7, 11)
     s = braid._merge_coefficients(k, system)
     matchings = {m: braid._Matching(k, system, s, m) for m in moduli}
-    eliminated, local, degrees = [], [], []
-    real_eliminate, real_local, real_rows = linalg.eliminate, braid.p_local_ranks, braid._morse_rows
+    eliminated, certified = [], []
+    real_eliminate, real_rows = linalg.eliminate, braid._morse_rows
 
-    def rows_spy(matching, s, i):
-        rows = real_rows(matching, s, i)
+    def rows_spy(matching, neighbours, i):
+        rows = real_rows(matching, neighbours, i)
         critical = matching.critical
         assert len(rows) in (len(critical.get(k - i + 1, ())), len(critical.get(k - i, ()))), (i, matching.p)
-        degrees.append(i)
+        certified.append((i, matching.p, rows))
         return rows
-
-    def local_spy(rows, p):
-        local.append((degrees[-1], p, real_local(rows, p)))
-        return local[-1][2]
 
     monkeypatch.setattr(braid, "combinations", _refuse_enumeration)
     monkeypatch.setattr(braid, "_morse_rows", rows_spy)
-    monkeypatch.setattr(braid, "p_local_ranks", local_spy)
     monkeypatch.setattr(linalg, "eliminate", lambda rows, modulus: eliminated.append(modulus) or
                         real_eliminate(rows, modulus))
     for name in ("rank_int_rows", "rank_mod_p_rows"):
         monkeypatch.setattr(braid, name, _refuse_rank)
     config_homology(k, system, Z, k_max=k)
-    assert local and eliminated == [p for _, p, _ in local]
-    for i, p, (a, b) in local:
-        assert (matchings[p].pairs[k - i] + a, b) == real_local(_lexicographic_rows(k, system, i), p), (i, p)
+    assert certified and eliminated == [p for _, p, _ in certified]
+    for i, p, rows in certified:
+        assert (matchings[p].pairs[k - i], len(eliminate(rows, p))) == \
+            _p_local_ranks(_lexicographic_rows(k, system, i), p), (i, p)
+
+
+def test_certificate_rows_are_d_over_p_and_make_up_the_rank(monkeypatch):
+    # every entry of D/p is a nonzero residue, and its F_p rank is what the pairs leave of the rank over Q
+    real, seen = braid._morse_rows, []
+    monkeypatch.setattr(braid, "_morse_rows", lambda matching, neighbours, i: seen.append(
+        (matching, i, rows := real(matching, neighbours, i))) or rows)
+    for k in range(2, 25):
+        for system in (TRIVIAL, SIGN):
+            rational = braid._Matching(k, system, braid._merge_coefficients(k, system), 0).pairs
+            start = len(seen)
+            config_homology(k, system, Z, k_max=k)
+            for matching, i, rows in seen[start:]:
+                p = matching.p
+                assert all(0 < v < p for row in rows for _, v in row), (k, system, p, i)
+                assert len(eliminate(rows, p)) == rational[k - i] - matching.pairs[k - i], (k, system, p, i)
+    assert len(seen) > 600
+
+
+def test_a_carry_free_path_to_a_critical_cell_is_refused():
+    # a face of a critical cell whose coefficient is a unit mod p, planted as critical: D would be
+    # nonzero mod p (at k = 4, sign, p = 2: the face (1, 3) of (1, 1, 2), coefficient -3)
+    k, system, p = 4, SIGN, 2
+    s = braid._merge_coefficients(k, system)
+    matching = braid._Matching(k, system, s, p)
+    faces, _ = braid._neighbours(s)
+    start, face = next((c, f) for cells in matching.critical.values() for c in cells for f, w in faces(c) if w % p)
+    real = matching.partner
+    matching.partner = lambda c: None if c == face else real(c)
+    refusal = re.escape(f"no coefficient divisible by 2 reaches the critical cell {face}")
+    with pytest.raises(CellModelError, match=refusal):
+        for _ in braid._flow(matching, [start], faces, False):  # one side alone, so no lockstep ends first
+            pass
 
 
 def test_field_tables_run_no_flow(monkeypatch):
@@ -295,8 +390,8 @@ def test_tables_build_no_full_row(monkeypatch):
 
 def test_a_cyclic_matching_is_refused_quickly():
     # a planted matching splits (1,3), (2,2), (3,1) into (1,1,2), (2,1,1), (1,2,1); each partner's
-    # other face is the next cell, so the mod 25 flow comes back to where it started (every
-    # coefficient on the way is a unit mod 5, so no step uses up the room for one divisible by 5)
+    # other face is the next cell, so the flow over F_5 comes back to where it started (every
+    # coefficient on the way is a unit mod 5, so the path never carries and no state differs)
     s = braid._merge_coefficients(4, SIGN)
     matching = braid._Matching(4, SIGN, s, 5)
     matching.partner = {(1, 3): ((1, 1, 2), False), (2, 2): ((2, 1, 1), False), (3, 1): ((1, 2, 1), False),
@@ -304,7 +399,7 @@ def test_a_cyclic_matching_is_refused_quickly():
     matching.critical = {3: [(1, 1, 2)], 2: [(2, 2)]}
     started = time.perf_counter()
     with pytest.raises(CellModelError, match="cycle"):
-        braid._morse_rows(matching, s, 2)
+        braid._morse_rows(matching, braid._neighbours(s), 2)
     assert time.perf_counter() - started < 1
 
 
@@ -547,8 +642,10 @@ def test_smith_oracle_refuses_past_its_bit_budget():
 
 
 def test_failed_local_certificate_is_refused(monkeypatch):
-    # a pretended p^2 divisor: a + b falls short of the rank over Q
-    monkeypatch.setattr(braid, "p_local_ranks", lambda rows, p: (0, 0))
+    # a pretended p^2 divisor: zero rows of D/p leave the F_p rank below the rank over Q
+    real = braid._morse_rows
+    monkeypatch.setattr(braid, "_morse_rows", lambda matching, neighbours, i: [
+        [] for _ in real(matching, neighbours, i)])
     with pytest.raises(CellModelError, match=r"C_4 \(sign system\) in degree 0: .* divisible by 2\^2"):
         config_homology(4, SIGN, Z)
 
@@ -556,8 +653,9 @@ def test_failed_local_certificate_is_refused(monkeypatch):
 def test_local_certificate_runs_only_where_there_is_torsion(monkeypatch):
     # r_p = r_Q leaves no divisor divisible by p; one call per (degree, p) with p-torsion
     calls = []
-    real = braid.p_local_ranks
-    monkeypatch.setattr(braid, "p_local_ranks", lambda rows, p: calls.append(p) or real(rows, p))
+    real = braid._morse_rows
+    monkeypatch.setattr(braid, "_morse_rows", lambda matching, neighbours, i: calls.append(matching.p) or
+                        real(matching, neighbours, i))
     table = config_homology(9, SIGN, Z)
     pairs = [(i, p) for i in table.degrees() for p in (2, 3, 5, 7) if table.group(i).p_torsion_count(p)]
     assert len(calls) == len(pairs) == 7
@@ -565,12 +663,12 @@ def test_local_certificate_runs_only_where_there_is_torsion(monkeypatch):
 
 @pytest.mark.parametrize("system", [TRIVIAL, SIGN])
 def test_planted_p_squared_divisor_is_refused(monkeypatch, system):
-    # nine times the mod-9 Morse rows of a degree with 3-torsion (H_5 = Z/6 of C_12, H_2 = Z/6 of
-    # C_6): they vanish, so the certificate counts only the pairs, below the rank over Q
+    # p times the rows of D/p of a degree with 3-torsion (H_5 = Z/6 of C_12, H_2 = Z/6 of C_6), as
+    # if D were 9 (D/p): they vanish mod 3, so the certificate counts only the pairs, below the rank over Q
     k, degree = {TRIVIAL: (12, 6), SIGN: (6, 3)}[system]
     real = braid._morse_rows
-    monkeypatch.setattr(braid, "_morse_rows", lambda matching, s, i: [
-        [(j, 9 * v if i == degree else v) for j, v in row] for row in real(matching, s, i)])
+    monkeypatch.setattr(braid, "_morse_rows", lambda matching, neighbours, i: [
+        [(j, 3 * v if i == degree else v) for j, v in row] for row in real(matching, neighbours, i)])
     with pytest.raises(CellModelError, match=r"divisible by 3\^2"):
         config_homology(k, system, Z, k_max=k)
 
@@ -612,6 +710,12 @@ def test_integral_tables_match_the_closed_form_through_k14(system):
 @pytest.mark.parametrize("system", [SIGN, TRIVIAL])
 def test_integral_tables_match_the_closed_form_from_k15_to_k24(system):
     _integral_tables_match_the_closed_form(system, range(15, 25))
+
+
+@pytest.mark.parametrize("system", [SIGN, TRIVIAL])
+def test_integral_tables_match_the_closed_form_at_k28_and_k32(system):
+    # the sizes where the certificate flows take most of a table's time
+    _integral_tables_match_the_closed_form(system, (28, 32))
 
 
 def test_fox_oracle_matches_cell_model_for_three_strands():

@@ -497,23 +497,28 @@ print(json.dumps([code, sorted(set(sys.modules) - before)]))
 @pytest.mark.parametrize("argv, stdin, kind", [
     (("stability-dim", "--d", "4", "--m", "1", "--n", "2"), None, "spaces"),
     (("betti", "--d", "8", "--m", "1", "--n", "2"), None, "table"),
+    (("betti", "--d", "8", "--m", "1", "--n", "2"), None, "warm"),
     (("e1", "--flavor", "hol", "--d", "6", "--n", "2", "--ring", "f2"), None, "table"),
     (("cache", "stats"), None, "cache"),
     (("count", "--d", "2", "--m", "2", "--n", "2", "--p", "3"), None, "ffield"),
     (("jet", "--n", "2"), "0,0,1\n-1,0,1\n", "jets"),
-], ids=["stability-dim", "betti-z", "e1-f2", "cache-stats", "count", "jet"])
+], ids=["stability-dim", "betti-z", "betti-z-warm", "e1-f2", "cache-stats", "count", "jet"])
 def test_commands_load_only_the_layers_they_run(tmp_path, argv, stdin, kind):
+    if kind == "warm":  # a first call fills the cache that the measured one reads
+        assert run_process("-m", "polystab.cli", *argv, "--json", "--cache-dir", str(tmp_path)).returncode == 0
     done = run_process("-c", LOADED_BY, *argv, "--json", "--cache-dir", str(tmp_path), stdin=stdin)
     code, loaded = json.loads(done.stdout.splitlines()[-1])
     assert code == 0, done.stderr
     # the dense oracle (complexes) runs only in verify cells
     assert not {"dataclasses", "inspect", "polystab.complexes"} & set(loaded)
-    if kind in ("table", "cache", "spaces"):
+    if kind in ("table", "warm", "cache", "spaces"):
         assert not {"fractions", "polystab.verify", "polystab.jets"} & set(loaded)
     if kind == "cache":
         assert not {"polystab.braid", "polystab.spaces", "polystab.linalg"} & set(loaded)
-    if "--ring" in argv:  # field tables are never cached
-        assert "polystab.cache" not in loaded
+    if "--ring" in argv:  # field tables are never cached, and only a Z table's certificate eliminates
+        assert not {"polystab.cache", "polystab.linalg"} & set(loaded)
+    if kind == "warm":  # a cached Z table certifies nothing
+        assert "polystab.cache" in loaded and "polystab.linalg" not in loaded
     package = {name for name in loaded if name.startswith("polystab.")}
     if kind == "spaces":  # the closed form loads none of the homology engine
         assert package == {"polystab.cli", "polystab.rings", "polystab.spaces"}
@@ -610,7 +615,10 @@ def test_integral_k10_tables_finish_and_match_the_fields(tmp_path, argv):
 
 
 def test_failed_local_certificate_exits_two(capsys, monkeypatch):
-    monkeypatch.setattr(braid, "p_local_ranks", lambda rows, p: (0, 0))
+    # zero rows of D/p leave the F_p rank below the rank over Q
+    real = braid._morse_rows
+    monkeypatch.setattr(braid, "_morse_rows", lambda matching, neighbours, i: [
+        [] for _ in real(matching, neighbours, i)])
     code, out, err = run(capsys, "betti", "--d", "8", "--m", "1", "--n", "2", "--json")
     assert code == 2
     assert "divisible by 2^2" in json.loads(out)["error"]["message"]
@@ -618,10 +626,10 @@ def test_failed_local_certificate_exits_two(capsys, monkeypatch):
 
 
 def test_planted_p_squared_divisor_exits_two(capsys, monkeypatch):
-    # nine times the mod-9 Morse rows of degree 3, where C_6 has the 3-torsion H_2 = Z/6
+    # p times the rows of D/p of degree 3, where C_6 has the 3-torsion H_2 = Z/6, as if D were 9 (D/p)
     real = braid._morse_rows
-    monkeypatch.setattr(braid, "_morse_rows", lambda matching, s, i: [
-        [(j, 9 * v if i == 3 else v) for j, v in row] for row in real(matching, s, i)])
+    monkeypatch.setattr(braid, "_morse_rows", lambda matching, neighbours, i: [
+        [(j, 3 * v if i == 3 else v) for j, v in row] for row in real(matching, neighbours, i)])
     code, out, err = run(capsys, "betti", "--d", "12", "--m", "1", "--n", "2", "--json")
     assert code == 2
     assert "divisible by 3^2" in json.loads(out)["error"]["message"]

@@ -9,7 +9,6 @@ from polystab import linalg
 from polystab.linalg import (
     SmithForm,
     eliminate,
-    p_local_ranks,
     rank_int_rows,
     rank_mod2_bitrows,
     rank_mod_p_rows,
@@ -245,36 +244,3 @@ def test_large_entry_exactness():
     m = IntMatrix.from_rows([[big, 0], [0, big * 3]])
     assert smith_normal_form(m).invariant_factors == (big, 3 * big)
     assert len(rank_int_rows(m.sparse_rows())) == 2
-
-
-def _valuation(x, p):
-    e = 0
-    while x % p == 0:
-        x //= p
-        e += 1
-    return e
-
-
-def _unimodular(rng, n):
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(3 * n):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i != j:
-            t = rng.randint(-3, 3)
-            u[i] = [x + t * y for x, y in zip(u[i], u[j])]
-    return IntMatrix.from_rows(u, n)
-
-
-def test_p_local_ranks_match_smith_valuations():
-    # U D V with planted divisors 1, p, p^2, p^3, a prime-to-p unit and 0
-    rng = random.Random(29)
-    for p in (2, 3, 5, 7):
-        for _ in range(150):
-            rows, cols = rng.randint(1, 7), rng.randint(1, 7)
-            diagonal = [[0] * cols for _ in range(rows)]
-            for t in range(min(rows, cols)):
-                diagonal[t][t] = rng.choice([1, p, p, p * p, p**3, 11 * p, 13, 0])
-            m = _unimodular(rng, rows).mul(IntMatrix.from_rows(diagonal, cols)).mul(_unimodular(rng, cols))
-            factors = smith_normal_form(m).invariant_factors
-            want = tuple(sum(1 for f in factors if _valuation(f, p) == e) for e in (0, 1))
-            assert p_local_ranks(m.sparse_rows(), p) == want, (m.entries, p)
