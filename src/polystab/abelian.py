@@ -176,9 +176,10 @@ class GradedAbelianGroup:
     @classmethod
     def from_payload(cls, payload: Mapping[str, list]) -> "GradedAbelianGroup":
         groups = {}
-        for key, val in payload.items():
-            rank, torsion = val
-            groups[int(key)] = AbelianGroup(int(rank), tuple(int(t) for t in torsion))
+        for key, (rank, torsion) in payload.items():
+            if type(rank) is not int or any(type(t) is not int for t in torsion):  # bools fail too
+                raise ValueError(f"degree {key} holds a value that is not an integer")
+            groups[int(key)] = AbelianGroup(rank, tuple(torsion))
         return cls(groups)
 
     def describe(self) -> str:

@@ -409,8 +409,8 @@ def _morse_rows(matching: _Matching, neighbours, i: int) -> list[list[tuple[int,
                 return done.value
 
 
-def _homology(k: int, system: str, ring: Ring, through: int | None) -> GradedAbelianGroup:
-    """H_i(C_k; system x ring) for i up to ``through`` (defaults to all), one degree at a time.
+def _homology(k: int, system: str, ring: Ring) -> GradedAbelianGroup:
+    """H_i(C_k; system x ring) in every degree 0..k-1, one degree at a time.
 
     A ring is a list of moduli: Q is [0], F_p is [p], Z is [0] and every prime p <= k.  Each ranks d_i
     as its matching's pairs across degree i, and degree i has comb(k-1, i) - r_i - r_(i+1) free
@@ -421,7 +421,6 @@ def _homology(k: int, system: str, ring: Ring, through: int | None) -> GradedAbe
     k!-sheeted cover F(C, k) -> C_k makes the system trivial, so by transfer (Arnold)
     H_*(C_k; L x Z[1/k!]) is a summand of the free H_*(F(C, k); Z[1/k!]).
     """
-    hi = k - 1 if through is None else min(through, k - 1)
     moduli = [0, *(p for p in range(2, k + 1) if is_prime(p))] if ring == Z else [ring.p or 0]
     s = _merge_coefficients(k, system)
     first, *local = (_Matching(k, system, s, m) for m in moduli)
@@ -429,7 +428,7 @@ def _homology(k: int, system: str, ring: Ring, through: int | None) -> GradedAbe
         from .linalg import eliminate
         neighbours = _neighbours(s)
     rank, torsion = [first.pairs.get(k - i, 0) for i in range(k + 1)], {i: [] for i in range(k)}
-    for i in range(1, min(hi + 1, k - 1) + 1):
+    for i in range(1, k):
         for matching in local:
             p, r_p = matching.p, matching.pairs[k - i]
             if r_p < rank[i] and r_p + len(eliminate(_morse_rows(matching, neighbours, i), p)) != rank[i]:
@@ -437,7 +436,7 @@ def _homology(k: int, system: str, ring: Ring, through: int | None) -> GradedAbe
                                      f"an elementary divisor is divisible by {p}^2; no table is given")
             torsion[i - 1] += [p] * (rank[i] - r_p)
     return GradedAbelianGroup({
-        i: AbelianGroup.from_orders(comb(k - 1, i) - rank[i] - rank[i + 1], torsion[i]) for i in range(hi + 1)
+        i: AbelianGroup.from_orders(comb(k - 1, i) - rank[i] - rank[i + 1], torsion[i]) for i in range(k)
     })
 
 
@@ -448,31 +447,24 @@ def config_homology(
     *,
     k_max: int = DEFAULT_K_MAX,
     cache: HomologyCache | None = None,
-    through: int | None = None,
 ) -> GradedAbelianGroup:
-    """H_*(C_k(C); L x ring) for L the trivial or sign rank-one system.
+    """H_*(C_k(C); L x ring) for L the trivial or sign rank-one system, in every degree 0..k-1.
 
     Integral tables are read from and written to ``cache`` when one is given
     (its in-memory front makes repeated queries in one process free); without
     a cache every call recomputes.  Field dimensions are always computed.
-    ``through`` truncates the degree range (the groups vanish in degrees >= k
-    anyway).
     """
     _check_k(k, k_max)
     _check_system(system)
     if ring != Z:
-        return _homology(k, system, ring, through)
+        return _homology(k, system, ring)
     from .cache import BraidHomologyKey  # field tables are never cached, so they never load the cache
     key = BraidHomologyKey(k, system)
     result = cache.get(key) if cache is not None else None
     if result is None:
-        result = _homology(k, system, Z, None)
+        result = _homology(k, system, Z)
         if cache is not None:
             cache.put(key, result)
-    if through is not None:
-        result = GradedAbelianGroup(
-            {d: result.group(d) for d in result.degrees() if d <= through}
-        )
     return result
 
 
@@ -482,7 +474,6 @@ def dk_homology(
     *,
     k_max: int = DEFAULT_K_MAX,
     cache: HomologyCache | None = None,
-    through: int | None = None,
 ) -> GradedAbelianGroup:
     """Reduced homology of the k-th stable summand D_k = F(C,k)+ ^_{S_k} (S^1)^^k.
 
@@ -490,9 +481,4 @@ def dk_homology(
     sign character, so this is sign-twisted configuration-space homology
     shifted up by k; it vanishes below degree k (and at or above degree 2k).
     """
-    inner = None if through is None else through - k
-    if inner is not None and inner < 0:
-        return GradedAbelianGroup()
-    return config_homology(
-        k, SIGN, ring, k_max=k_max, cache=cache, through=inner
-    ).shift(k)
+    return config_homology(k, SIGN, ring, k_max=k_max, cache=cache).shift(k)

@@ -4,9 +4,10 @@ One file per (k, coefficient system) key.  Files are JSON beginning with a
 format/version tag and the key itself; writes go through a temporary file and
 an atomic rename so concurrent readers never see a partial entry.  Anything
 unreadable is treated as a miss (corrupt entries additionally warn) and gets
-recomputed; an entry whose degrees, Euler characteristic or torsion cannot
-belong to its key counts as corrupt.  Each :class:`HomologyCache` also keeps in
-memory every table it wrote or read: a process reads each entry at most once.
+recomputed; an entry that is not an object of integers, or whose degrees, Euler
+characteristic or torsion cannot belong to its key, counts as corrupt.  Each
+:class:`HomologyCache` also keeps in memory every table it wrote or read: a
+process reads each entry at most once.
 """
 
 from __future__ import annotations
@@ -82,12 +83,14 @@ class HomologyCache:
             return None
         try:
             doc = json.loads(raw)
-            if doc.get("format") != CACHE_FORMAT:
-                raise ValueError("unexpected format tag")
+            if not isinstance(doc, dict) or doc.get("format") != CACHE_FORMAT:
+                raise ValueError("not a JSON object with the expected format tag")
             if doc.get("version") != CACHE_VERSION:
                 return None  # version mismatch is a plain miss
             if doc.get("k") != key.k or doc.get("system") != key.system:
                 raise ValueError("key mismatch")
+            if not isinstance(doc["homology"], dict):
+                raise ValueError("the table is not a JSON object")
             value = GradedAbelianGroup.from_payload(doc["homology"])
             _check_table(key, value)
         except (ValueError, KeyError, TypeError) as exc:

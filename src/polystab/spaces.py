@@ -210,7 +210,8 @@ def omega_series(
     Degree j collects dim of the shifted summand D_k over all k >= 0; summand
     k starts in degree (2N-3)k, so the request is exact precisely when every
     k <= through/(2N-3) is inside the configured bound; larger requests are
-    refused rather than silently truncated.
+    refused rather than silently truncated.  Each summand's table is whole,
+    and this is where the series is cut: degrees above ``through`` are dropped.
     """
     _load_engine()
     if N < 2:
@@ -229,7 +230,7 @@ def omega_series(
     coeffs[0] = 1
     shift = 2 * (N - 2)
     for k in range(1, through // (2 * N - 3) + 1):
-        part = dk_homology(k, ring, k_max=k_max, cache=cache, through=through - shift * k)
+        part = dk_homology(k, ring, k_max=k_max, cache=cache)
         for q in part.degrees():
             j = q + shift * k
             if j <= through:

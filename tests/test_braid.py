@@ -22,6 +22,7 @@ from polystab.cache import HomologyCache
 from polystab.complexes import ChainComplex, complex_homology
 from polystab.linalg import IntMatrix, eliminate, smith_normal_form
 from polystab.rings import GF, Q, Z, is_prime
+from polystab.spaces import omega_series
 from polystab.verify import loop_space_series
 
 Z1 = AbelianGroup(1)
@@ -787,16 +788,13 @@ def test_classical_stability():
             assert current.group(i) == bigger.group(i), (k, i)
 
 
-def test_truncated_queries_match_full():
-    for k in (3, 5, 7):
-        full = config_homology(k, SIGN, Z)
-        part = config_homology(k, SIGN, Z, through=1)
-        assert part.degrees() == tuple(d for d in full.degrees() if d <= 1)
-        dims_full = config_homology(k, SIGN, GF(2))
-        dims_part = config_homology(k, SIGN, GF(2), through=2)
-        for i in range(3):
-            assert dims_part.free_rank(i) == dims_full.free_rank(i)
-        assert dims_part.top_degree() is None or dims_part.top_degree() <= 2
+@pytest.mark.parametrize("ring", [GF(2), GF(3), GF(5), Q], ids=str)
+@pytest.mark.parametrize("N, T", [(2, 16), (3, 27)])
+def test_every_cut_of_the_series_matches_the_closed_form(N, T, ring):
+    # omega_series is the one place a series is cut, inside a summand too: every t <= T
+    want = [sum(column) for column in zip(*loop_space_series(N, ring.p or 0, T))]
+    for t in range(T + 1):
+        assert list(omega_series(N, ring, t, k_max=T).coefficients) == want[:t + 1], t
 
 
 def test_enumerate_cells_bounds():

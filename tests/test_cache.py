@@ -4,7 +4,7 @@ import pytest
 
 from polystab import braid
 from polystab.abelian import AbelianGroup, GradedAbelianGroup
-from polystab.cache import CACHE_VERSION, BraidHomologyKey, HomologyCache, default_cache_dir
+from polystab.cache import CACHE_FORMAT, CACHE_VERSION, BraidHomologyKey, HomologyCache, default_cache_dir
 
 
 @pytest.fixture
@@ -82,6 +82,30 @@ def test_impossible_table_warns_and_misses(cache, key, table, reason):
     cache.put(key, table)
     with pytest.warns(UserWarning, match=f"corrupted.*{reason}"):
         assert reader(cache).get(key) is None
+
+
+def _entry(homology):
+    return {"format": CACHE_FORMAT, "version": CACHE_VERSION, "k": KEY.k, "system": KEY.system, "homology": homology}
+
+
+# none may crash the reader, nor pass the table checks once its values are taken as integers
+@pytest.mark.parametrize("body", [
+    [], None, "x",
+    _entry([]),
+    _entry({"0": [1, []], "1": [1, [6.5]]}),
+    _entry({"0": [1, []], "1": [1, ["3"]]}),
+    _entry({"0": [1, []], "1": [True, []]}),
+    _entry({"0": [1.0, []], "1": [1, [2]]}),
+], ids=["list", "null", "string", "table_list", "float_order", "string_order", "bool_rank", "float_rank"])
+def test_malformed_entry_warns_misses_and_is_recomputed(cache, body):
+    cache.directory.mkdir(parents=True)
+    cache.path_for(KEY).write_text(json.dumps(body))
+    with pytest.warns(UserWarning, match="corrupted"):
+        assert reader(cache).get(KEY) is None
+    truth = braid.config_homology(KEY.k, KEY.system)
+    with pytest.warns(UserWarning, match="corrupted"):
+        assert braid.config_homology(KEY.k, KEY.system, cache=reader(cache)) == truth
+    assert reader(cache).get(KEY) == truth  # rewritten
 
 
 def test_possible_torsion_is_served(cache):

@@ -422,6 +422,20 @@ def test_cache_stats_and_clear(tmp_path, capsys):
     assert json.loads(out)["result"]["entries"] == 0
 
 
+@pytest.mark.parametrize("homology", [[], {"0": [0, [6.5]], "1": [0, [3]]}], ids=["not_an_object", "float_order"])
+def test_malformed_cache_entry_prints_the_cold_bytes(tmp_path, capsys, homology):
+    # taken as an integer, 6.5 would pass every table check and print Z/6 where H_3 is Z/2
+    args = ("betti", "--d", "6", "--m", "1", "--n", "2", "--json", "--cache-dir")
+    _, cold, _ = run(capsys, *args, str(tmp_path / "cold"))
+    entry = tmp_path / "warm" / "braid_v1_k3_sign.json"
+    entry.parent.mkdir()
+    entry.write_text(json.dumps({"format": "polystab-braid-homology", "version": 1, "k": 3, "system": "sign",
+                                 "homology": homology}))
+    with pytest.warns(UserWarning, match="corrupted"):
+        code, out, _ = run(capsys, *args, str(entry.parent))
+    assert (code, out) == (0, cold)
+
+
 def test_canonical_json_ordering_helper():
     payload = {"10": 1, "2": 2, "b": 3, "a": {"5": 1, "11": 2}}
     assert cli.canonical_json(payload) == '{"2":2,"10":1,"a":{"5":1,"11":2},"b":3}'
@@ -502,7 +516,8 @@ print(json.dumps([code, sorted(set(sys.modules) - before)]))
     (("cache", "stats"), None, "cache"),
     (("count", "--d", "2", "--m", "2", "--n", "2", "--p", "3"), None, "ffield"),
     (("jet", "--n", "2"), "0,0,1\n-1,0,1\n", "jets"),
-], ids=["stability-dim", "betti-z", "betti-z-warm", "e1-f2", "cache-stats", "count", "jet"])
+    (("stable-series", "--n", "2", "--through", "8", "--ring", "f2"), None, "table"),
+], ids=["stability-dim", "betti-z", "betti-z-warm", "e1-f2", "cache-stats", "count", "jet", "stable-series-f2"])
 def test_commands_load_only_the_layers_they_run(tmp_path, argv, stdin, kind):
     if kind == "warm":  # a first call fills the cache that the measured one reads
         assert run_process("-m", "polystab.cli", *argv, "--json", "--cache-dir", str(tmp_path)).returncode == 0
