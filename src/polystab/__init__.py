@@ -19,14 +19,14 @@ __version__ = "0.1.0"
 # Exports resolve on first use (PEP 562): a caller loads only the modules it touches.
 _EXPORTS = {
     "abelian": "AbelianGroup GradedAbelianGroup invariant_factors",
-    "braid": "DEFAULT_K_MAX SIGN TRIVIAL CellModelError config_homology dk_homology dual_fn_complex shuffle_sum",
+    "braid": "SIGN TRIVIAL CellModelError config_homology dk_homology dual_fn_complex shuffle_sum",
     "cache": "BraidHomologyKey HomologyCache default_cache_dir",
     "complexes": "ChainComplex complex_homology",
     "ffield": "FpTuple closed_form_count count_points is_member max_common_multiplicity squarefree_multiplicities",
     "jets": "JetEquivalenceReport QTuple jet_equivalence_check jet_map q_membership_hol q_membership_poly",
     "linalg": "IntMatrix SmithForm smith_normal_form",
     "poly": "Poly poly_gcd",
-    "rings": "GF Q Ring Z parse_ring",
+    "rings": "DEFAULT_K_MAX GF Q Ring Z parse_ring",
     "spaces": "E1Page HomologyTable Params PoincareSeries e1_page_hol e1_page_poly hol_homology "
     "omega_series poly_homology stability_dimension",
 }

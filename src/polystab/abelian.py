@@ -10,50 +10,33 @@ no torsion.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
+from math import gcd
 
 from .rings import Value
 
 
-def _factor(n: int) -> dict[int, int]:
-    """Prime factorization by trial division (torsion orders here are small)."""
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def invariant_factors(orders: Iterable[int]) -> tuple[int, ...]:
     """Normal form of a finite direct sum of cyclic groups.
+
+    One sweep over the pairs i < j replaces (a_i, a_j) by (gcd, lcm), which keeps
+    the group (Z/a + Z/b = Z/gcd + Z/lcm) and leaves a_i dividing every later
+    order; the 1s, all at the front, are then dropped.
 
     >>> invariant_factors([2, 3])
     (6,)
     >>> invariant_factors([4, 2, 2])
     (2, 2, 4)
     """
-    by_prime: dict[int, list[int]] = {}
-    for n in orders:
+    slots = list(orders)
+    for n in slots:
         if n <= 0:
             raise ValueError(f"cyclic order must be positive, got {n}")
-        if n == 1:
-            continue
-        for p, e in _factor(n).items():
-            by_prime.setdefault(p, []).append(e)
-    if not by_prime:
-        return ()
-    width = max(len(v) for v in by_prime.values())
-    slots = [1] * width
-    for p, exps in by_prime.items():
-        exps.sort(reverse=True)
-        for i, e in enumerate(exps):
-            slots[i] *= p**e
-    slots.reverse()
-    return tuple(slots)
+    for i in range(len(slots)):
+        for j in range(i + 1, len(slots)):
+            a, b = slots[i], slots[j]
+            g = gcd(a, b)
+            slots[i], slots[j] = g, a // g * b
+    return tuple(n for n in slots if n > 1)
 
 
 class AbelianGroup(Value):

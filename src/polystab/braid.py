@@ -128,10 +128,11 @@ from itertools import combinations
 from math import comb
 
 from .abelian import AbelianGroup, GradedAbelianGroup
-from .rings import DEFAULT_K_MAX, CellModelError, Ring, Z, is_prime
+from .rings import CellModelError, Ring, Z, is_prime
 
 TRIVIAL = "trivial"
 SIGN = "sign"
+_DENSE_K_MAX = 10  # dual_fn_complex's memory guard: its dense matrices span all 2^(k-1) cells
 
 
 def __getattr__(name: str):  # PEP 562: names bound here only for perfbench/tracer.py to wrap
@@ -142,14 +143,11 @@ def __getattr__(name: str):  # PEP 562: names bound here only for perfbench/trac
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _check_system(system: str) -> None:
+def _check(k: int, system: str) -> None:
+    if k < 1:
+        raise ValueError(f"k={k} is not a summand index: k must be at least 1")
     if system not in (TRIVIAL, SIGN):
         raise ValueError(f"unknown coefficient system {system!r}")
-
-
-def _check_k(k: int, k_max: int) -> None:
-    if not 1 <= k <= k_max:
-        raise ValueError(f"k={k} outside the supported range 1..{k_max}")
 
 
 def shuffle_sum(a: int, b: int, signed: bool) -> int:
@@ -169,7 +167,7 @@ def shuffle_sum(a: int, b: int, signed: bool) -> int:
     return comb((a + b) // 2, a // 2)
 
 
-def dual_fn_complex(k: int, system: str, k_max: int = DEFAULT_K_MAX) -> ChainComplex:
+def dual_fn_complex(k: int, system: str) -> ChainComplex:
     """Transpose of the cell complex regraded so degree i computes H_i.
 
     A cell of dimension j lands in degree 2k - j; the boundary in degree i is
@@ -178,13 +176,17 @@ def dual_fn_complex(k: int, system: str, k_max: int = DEFAULT_K_MAX) -> ChainCom
     for the Smith normal form oracle and ``verify cells``.  Rows and columns
     are numbered in ``combinations`` order of the cuts.  Poincare duality for
     the open 2k-manifold makes this compute ordinary homology with the chosen
-    rank-one system.  Construction raises :class:`CellModelError` if the
-    boundary-squared self-check fails.
+    rank-one system.  The matrices hold every one of the 2^(k-1) cells, so k
+    above ``_DENSE_K_MAX`` (10), a fixed memory guard that no argument raises,
+    is refused with ValueError, as are k < 1 and an unknown system.
+    Construction raises :class:`CellModelError` if the boundary-squared
+    self-check fails.
     """
     from .complexes import ChainComplex  # the dense oracle: no table command loads it
     from .linalg import IntMatrix
-    _check_k(k, k_max)
-    _check_system(system)
+    _check(k, system)
+    if k > _DENSE_K_MAX:
+        raise ValueError(f"k={k} is past the dense oracle's bound {_DENSE_K_MAX}")
     faces, _ = _neighbours(_merge_coefficients(k, system))
     cells = [[tuple(b - a for a, b in zip((0, *cuts), (*cuts, k))) for cuts in combinations(range(1, k), k - i - 1)]
              for i in range(k)]  # degree i: the cells with k - i parts
@@ -334,11 +336,12 @@ class _Matching:
 def _flow(matching: _Matching, starts, neighbours, upward: bool):
     """Generator of one side of D/p over F_p (module docstring): one step per memoised state, rows on return.
 
-    A start's row sums v Phi(c) over its (c, v) in ``neighbours``, the exact faces (``upward``: cofaces)
-    of the merge table.  A state is a cell and whether its path has carried: a unit step weighs w mod p,
-    the one carry (w / p) mod p, and a step of weight 0 or a second carry is dropped.  A state that
-    reaches a critical cell without having carried, which would make D nonzero mod p, or that is
-    revisited before its value is known, a cycle, raises :class:`CellModelError`.
+    A start's row sums v Phi(c) over its (c, v) in ``neighbours``, the faces (``upward``: cofaces) of the
+    merge table mod p^2, which keeps w mod p and (w / p) mod p and leaves out the faces of weight 0.  A
+    state is a cell and whether its path has carried: a unit step weighs w mod p, the one carry
+    (w / p) mod p, and a step of weight 0 or a second carry is dropped.  A state that reaches a critical
+    cell without having carried, which would make D nonzero mod p, or that is revisited before its value
+    is known, a cycle, raises :class:`CellModelError`.
     """
     p, partner = matching.p, matching.partner
     memo, columns, rows, zero, pending = {}, {}, [], {}, {}
@@ -394,9 +397,10 @@ def _flow(matching: _Matching, starts, neighbours, upward: bool):
 
 
 def _morse_rows(matching: _Matching, neighbours, i: int) -> list[list[tuple[int, int]]]:
-    """Rows over F_p of D/p from the critical cells with k - i + 1 parts to those with k - i, over the exact
-    (faces, cofaces) ``neighbours``: the flows from both ends run in lockstep, and the first to finish
-    gives the rows (the other's are their transpose; the winner changes from degree to degree)."""
+    """Rows over F_p of D/p from the critical cells with k - i + 1 parts to those with k - i, over the
+    (faces, cofaces) ``neighbours`` of the merge table mod p^2 (the exact table gives the same rows): the
+    flows from both ends run in lockstep, and the first to finish gives the rows (the other's are their
+    transpose; the winner changes from degree to degree)."""
     faces, cofaces = neighbours
     r = matching.k - i
     sides = (_flow(matching, matching.critical.get(r + 1, ()), faces, False),
@@ -424,14 +428,14 @@ def _homology(k: int, system: str, ring: Ring) -> GradedAbelianGroup:
     moduli = [0, *(p for p in range(2, k + 1) if is_prime(p))] if ring == Z else [ring.p or 0]
     s = _merge_coefficients(k, system)
     first, *local = (_Matching(k, system, s, m) for m in moduli)
-    if local:  # the primes of a Z table, each certified on the exact faces
+    if local:  # the primes of a Z table, each certified on its faces mod p^2: a matched pair's is a unit
         from .linalg import eliminate
-        neighbours = _neighbours(s)
+        neighbours = {m.p: _neighbours([[v % m.p ** 2 for v in row] for row in s]) for m in local}
     rank, torsion = [first.pairs.get(k - i, 0) for i in range(k + 1)], {i: [] for i in range(k)}
     for i in range(1, k):
         for matching in local:
             p, r_p = matching.p, matching.pairs[k - i]
-            if r_p < rank[i] and r_p + len(eliminate(_morse_rows(matching, neighbours, i), p)) != rank[i]:
+            if r_p < rank[i] and r_p + len(eliminate(_morse_rows(matching, neighbours[p], i), p)) != rank[i]:
                 raise CellModelError(f"integral homology of C_{k} ({system} system) in degree {i - 1}: "
                                      f"an elementary divisor is divisible by {p}^2; no table is given")
             torsion[i - 1] += [p] * (rank[i] - r_p)
@@ -440,22 +444,17 @@ def _homology(k: int, system: str, ring: Ring) -> GradedAbelianGroup:
     })
 
 
-def config_homology(
-    k: int,
-    system: str,
-    ring: Ring = Z,
-    *,
-    k_max: int = DEFAULT_K_MAX,
-    cache: HomologyCache | None = None,
-) -> GradedAbelianGroup:
+def config_homology(k: int, system: str, ring: Ring = Z, *, cache: HomologyCache | None = None) -> GradedAbelianGroup:
     """H_*(C_k(C); L x ring) for L the trivial or sign rank-one system, in every degree 0..k-1.
 
-    Integral tables are read from and written to ``cache`` when one is given
-    (its in-memory front makes repeated queries in one process free); without
-    a cache every call recomputes.  Field dimensions are always computed.
+    Any k >= 1 is computed: the engine has no summand bound (requests are bounded
+    where they enter, in :mod:`polystab.spaces` and the CLI); k < 1 and an unknown
+    system raise ValueError.  Integral tables are read from and written to
+    ``cache`` when one is given (its in-memory front makes repeated queries in one
+    process free); without a cache every call recomputes.  Field dimensions are
+    always computed.
     """
-    _check_k(k, k_max)
-    _check_system(system)
+    _check(k, system)
     if ring != Z:
         return _homology(k, system, ring)
     from .cache import BraidHomologyKey  # field tables are never cached, so they never load the cache
@@ -468,17 +467,12 @@ def config_homology(
     return result
 
 
-def dk_homology(
-    k: int,
-    ring: Ring = Z,
-    *,
-    k_max: int = DEFAULT_K_MAX,
-    cache: HomologyCache | None = None,
-) -> GradedAbelianGroup:
-    """Reduced homology of the k-th stable summand D_k = F(C,k)+ ^_{S_k} (S^1)^^k.
+def dk_homology(k: int, ring: Ring = Z, *, cache: HomologyCache | None = None) -> GradedAbelianGroup:
+    """Reduced homology of the k-th stable summand D_k = F(C,k)+ ^_{S_k} (S^1)^^k, for any k >= 1.
 
     The symmetric group acts on the top cell of the smash power through the
     sign character, so this is sign-twisted configuration-space homology
     shifted up by k; it vanishes below degree k (and at or above degree 2k).
+    ``cache`` and the refusals are those of :func:`config_homology`.
     """
-    return config_homology(k, SIGN, ring, k_max=k_max, cache=cache).shift(k)
+    return config_homology(k, SIGN, ring, cache=cache).shift(k)

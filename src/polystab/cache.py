@@ -4,8 +4,9 @@ One file per (k, coefficient system) key.  Files are JSON beginning with a
 format/version tag and the key itself; writes go through a temporary file and
 an atomic rename so concurrent readers never see a partial entry.  Anything
 unreadable is treated as a miss (corrupt entries additionally warn) and gets
-recomputed; an entry that is not an object of integers, or whose degrees, Euler
-characteristic or torsion cannot belong to its key, counts as corrupt.  Each
+recomputed; an entry that is not UTF-8, not JSON, nested too deep for the
+parser or not an object of integers, or whose degrees, Euler characteristic
+or torsion cannot belong to its key, counts as corrupt.  Each
 :class:`HomologyCache` also keeps in memory every table it wrote or read: a
 process reads each entry at most once.
 """
@@ -78,11 +79,11 @@ class HomologyCache:
             return self._memory[key]
         path = self.path_for(key)
         try:
-            raw = path.read_text(encoding="utf-8")
+            raw = path.read_bytes()
         except OSError:
             return None
         try:
-            doc = json.loads(raw)
+            doc = json.loads(raw.decode("utf-8"))  # bytes that are not UTF-8 raise a ValueError here
             if not isinstance(doc, dict) or doc.get("format") != CACHE_FORMAT:
                 raise ValueError("not a JSON object with the expected format tag")
             if doc.get("version") != CACHE_VERSION:
@@ -93,7 +94,7 @@ class HomologyCache:
                 raise ValueError("the table is not a JSON object")
             value = GradedAbelianGroup.from_payload(doc["homology"])
             _check_table(key, value)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:  # RecursionError: JSON nested too deep
             warnings.warn(f"discarding corrupted cache entry {path}: {exc}")
             return None
         self._memory[key] = value

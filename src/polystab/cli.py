@@ -147,8 +147,7 @@ def _cmd_e1(args) -> int:
 def _cmd_stable_series(args) -> int:
     from . import spaces
     ring = parse_ring(args.ring)
-    cache = _resolve_cache(args, ring)
-    series = spaces.omega_series(args.n, ring, args.through, k_max=args.k_max, cache=cache)
+    series = spaces.omega_series(args.n, ring, args.through, k_max=args.k_max)
     params = {"n": args.n, "ring": ring.label, "through": args.through}
     payload = _report(
         "stable-series",

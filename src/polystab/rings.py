@@ -9,7 +9,7 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # below it, Miller-Rabin with those bases decides primality exactly.
 MILLER_RABIN_BOUND = 3317044064679887385961981
 
-DEFAULT_K_MAX = 10  # the default summand bound; here so spaces and the CLI can bind it without loading the engine
+DEFAULT_K_MAX = 10  # the default bound on a request's summands, checked by spaces and the CLI; the engine has none
 
 
 class CellModelError(RuntimeError):  # here so the CLI can catch it without loading the engine

@@ -136,7 +136,7 @@ def hol_homology(
     total = GradedAbelianGroup({0: AbelianGroup(1)})
     for k in range(1, d + 1):
         total = total.direct_sum(
-            dk_homology(k, ring, k_max=k_max, cache=cache).shift(2 * (N - 2) * k)
+            dk_homology(k, ring, cache=cache).shift(2 * (N - 2) * k)
         )
     return HomologyTable(total, ring)
 
@@ -191,27 +191,22 @@ def e1_page_hol(
     twist = 2 * (N - 1)
     entries: dict[tuple[int, int], AbelianGroup] = {(0, 0): AbelianGroup(1)}
     for k in range(1, d + 1):
-        column = config_homology(k, SIGN, ring, k_max=k_max, cache=cache)
+        column = config_homology(k, SIGN, ring, cache=cache)
         for i in column.degrees():
             entries[(k, twist * k + i)] = column.group(i)
     return E1Page(ring, d, twist, entries)
 
 
-def omega_series(
-    N: int,
-    ring: Ring,
-    through: int,
-    *,
-    k_max: int = DEFAULT_K_MAX,
-    cache: HomologyCache | None = None,
-) -> PoincareSeries:
+def omega_series(N: int, ring: Ring, through: int, *, k_max: int = DEFAULT_K_MAX) -> PoincareSeries:
     """Poincare series of the double loop space of S^{2N-1} through ``through``.
 
     Degree j collects dim of the shifted summand D_k over all k >= 0; summand
     k starts in degree (2N-3)k, so the request is exact precisely when every
-    k <= through/(2N-3) is inside the configured bound; larger requests are
-    refused rather than silently truncated.  Each summand's table is whole,
-    and this is where the series is cut: degrees above ``through`` are dropped.
+    k <= through/(2N-3) is inside ``k_max``, the request's summand bound;
+    larger requests are refused rather than silently truncated.  Each
+    summand's table is whole, and this is where the series is cut: degrees
+    above ``through`` are dropped.  The ring must be a field, whose tables are
+    computed and never cached, so the series takes no cache.
     """
     _load_engine()
     if N < 2:
@@ -230,7 +225,7 @@ def omega_series(
     coeffs[0] = 1
     shift = 2 * (N - 2)
     for k in range(1, through // (2 * N - 3) + 1):
-        part = dk_homology(k, ring, k_max=k_max, cache=cache)
+        part = dk_homology(k, ring)
         for q in part.degrees():
             j = q + shift * k
             if j <= through:

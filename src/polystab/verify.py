@@ -66,8 +66,8 @@ Checks = Iterator[tuple[str, bool, str]]
 def suite_splitting(cache: HomologyCache | None = None) -> Checks:
     """Assembled tables for (d, 1, 2) equal direct homology of d points, d = 2..12."""
     for d in range(2, 13):
-        left = spaces.poly_homology(d, 1, 2, Z, k_max=12, cache=cache).groups
-        right = braid.config_homology(d, braid.TRIVIAL, Z, k_max=12, cache=cache)
+        left = spaces.poly_homology(d, 1, 2, Z, cache=cache).groups
+        right = braid.config_homology(d, braid.TRIVIAL, Z, cache=cache)
         yield f"d{d}", left == right, f"assembled={left.describe()} direct={right.describe()}"
 
 
@@ -203,11 +203,11 @@ def suite_series(cache: HomologyCache | None = None) -> Checks:
     """Limit series summed from the cell model equal the closed form: mod 2 for
     the double loop space of S^3 through degree 15, rationally for S^3, S^5, S^7."""
     through = 15
-    got = spaces.omega_series(2, GF(2), through, k_max=15, cache=cache)
+    got = spaces.omega_series(2, GF(2), through, k_max=15)
     want = list(map(sum, zip(*loop_space_series(2, 2, through))))
     yield "mod2_N2", list(got.coefficients) == want, f"got={list(got.coefficients)} want={want}"
     for n_param, through in ((2, 7), (3, 9), (4, 11)):
-        series = spaces.omega_series(n_param, Q, through, cache=cache)
+        series = spaces.omega_series(n_param, Q, through)
         want_q = list(map(sum, zip(*loop_space_series(n_param, 0, through))))
         yield (
             f"rational_N{n_param}",

@@ -1,3 +1,6 @@
+import random
+from itertools import combinations_with_replacement
+
 import pytest
 
 from polystab.abelian import AbelianGroup, GradedAbelianGroup, invariant_factors
@@ -10,6 +13,44 @@ def test_invariant_factors_normalization():
     assert invariant_factors([2, 2]) == (2, 2)
     assert invariant_factors([4, 6]) == (2, 12)
     assert invariant_factors([8, 4, 3, 9, 5]) == (12, 360)
+
+
+def _factor(n: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def _by_primary_parts(orders) -> tuple[int, ...]:
+    """The oracle: factor each order, then stack the largest prime powers of every prime into the last factor."""
+    by_prime: dict[int, list[int]] = {}
+    for n in orders:
+        for p, e in _factor(n).items():
+            by_prime.setdefault(p, []).append(e)
+    if not by_prime:
+        return ()
+    slots = [1] * max(len(v) for v in by_prime.values())
+    for p, exps in by_prime.items():
+        for i, e in enumerate(sorted(exps, reverse=True)):
+            slots[i] *= p**e
+    return tuple(reversed(slots))
+
+
+def test_invariant_factors_match_the_primary_decomposition():
+    for size in range(4):
+        for orders in combinations_with_replacement(range(1, 37), size):
+            assert invariant_factors(orders) == _by_primary_parts(orders), orders
+    rng = random.Random(25)
+    for _ in range(20000):
+        orders = [rng.randint(1, rng.choice((6, 40, 1000))) for _ in range(rng.randint(0, 12))]
+        assert invariant_factors(orders) == _by_primary_parts(orders), orders
 
 
 def test_invariant_factors_rejects_nonpositive():

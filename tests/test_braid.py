@@ -1,3 +1,4 @@
+import inspect
 import random
 import re
 import time
@@ -22,7 +23,7 @@ from polystab.cache import HomologyCache
 from polystab.complexes import ChainComplex, complex_homology
 from polystab.linalg import IntMatrix, eliminate, smith_normal_form
 from polystab.rings import GF, Q, Z, is_prime
-from polystab.spaces import omega_series
+from polystab.spaces import hol_homology, omega_series
 from polystab.verify import loop_space_series
 
 Z1 = AbelianGroup(1)
@@ -228,7 +229,7 @@ def test_morse_ranks_match_full_row_elimination():
                 pairs = braid._Matching(k, system, s, m).pairs
                 ranks = [0, *(len(leads) for leads in _full_row_leads(k, system, m)), 0]
                 assert [pairs[k - i] for i in range(1, k)] == ranks[1:-1], (k, system, m)
-                table = config_homology(k, system, GF(m) if m else Q, k_max=14)
+                table = config_homology(k, system, GF(m) if m else Q)
                 assert [table.free_rank(i) for i in range(k)] == \
                     [comb(k - 1, i) - ranks[i] - ranks[i + 1] for i in range(k)], (k, system, m)
 
@@ -330,7 +331,7 @@ def test_each_degree_ranks_only_critical_cells(monkeypatch, system):
                         real_eliminate(rows, modulus))
     for name in ("rank_int_rows", "rank_mod_p_rows"):
         monkeypatch.setattr(braid, name, _refuse_rank)
-    config_homology(k, system, Z, k_max=k)
+    config_homology(k, system, Z)
     assert certified and eliminated == [p for _, p, _ in certified]
     for i, p, rows in certified:
         assert (matchings[p].pairs[k - i], len(eliminate(rows, p))) == \
@@ -346,7 +347,7 @@ def test_certificate_rows_are_d_over_p_and_make_up_the_rank(monkeypatch):
         for system in (TRIVIAL, SIGN):
             rational = braid._Matching(k, system, braid._merge_coefficients(k, system), 0).pairs
             start = len(seen)
-            config_homology(k, system, Z, k_max=k)
+            config_homology(k, system, Z)
             for matching, i, rows in seen[start:]:
                 p = matching.p
                 assert all(0 < v < p for row in rows for _, v in row), (k, system, p, i)
@@ -378,14 +379,14 @@ def test_field_tables_run_no_flow(monkeypatch):
     for k in range(1, 31):
         for system in (TRIVIAL, SIGN):
             for ring in (GF(2), GF(3), GF(5), GF(7), Q):
-                config_homology(k, system, ring, k_max=30)
+                config_homology(k, system, ring)
     assert calls == []
 
 
 def test_tables_build_no_full_row(monkeypatch):
     monkeypatch.setattr(braid, "combinations", _refuse_enumeration)
-    assert config_homology(20, SIGN, GF(2), k_max=20).dims(20) == loop_space_series(2, 2, 40)[20][20:]
-    table = config_homology(16, TRIVIAL, Z, k_max=16)
+    assert config_homology(20, SIGN, GF(2)).dims(20) == loop_space_series(2, 2, 40)[20][20:]
+    table = config_homology(16, TRIVIAL, Z)
     assert [table.dim_mod(j, 3) for j in range(17)] == loop_space_series(2, 3, 16, TRIVIAL)[16]
 
 
@@ -479,9 +480,9 @@ def test_a_content_clash_is_refused(monkeypatch):
     # so the Morse differential between them need not vanish, and no rank is read off the pairs
     monkeypatch.setattr(braid._Matching, "_critical_cells", lambda self: {2: [(1, 1)], 1: [(2,)]})
     with pytest.raises(CellModelError, match="critical cells with 1 and 2 parts share a content"):
-        config_homology(2, SIGN, GF(3), k_max=2)
+        config_homology(2, SIGN, GF(3))
     with pytest.raises(CellModelError, match="share a content"):
-        config_homology(2, SIGN, Z, k_max=2)
+        config_homology(2, SIGN, Z)
 
 
 def test_a_face_that_changes_the_content_is_refused(monkeypatch):
@@ -496,8 +497,8 @@ def test_a_face_that_changes_the_content_is_refused(monkeypatch):
 
     monkeypatch.setattr(braid, "_merge_coefficients", planted)
     with pytest.raises(CellModelError, match=r"merge \(1, 2\) changes the content"):
-        config_homology(3, SIGN, GF(3), k_max=3)
-    assert config_homology(3, SIGN, GF(5), k_max=3)
+        config_homology(3, SIGN, GF(3))
+    assert config_homology(3, SIGN, GF(5))
 
 
 def test_matching_refuses_a_merge_that_is_not_a_unit(monkeypatch):
@@ -507,10 +508,10 @@ def test_matching_refuses_a_merge_that_is_not_a_unit(monkeypatch):
     monkeypatch.setattr(braid, "shuffle_sum",
                         lambda a, b, signed: real(a, b, signed) * (2 if signed and a + b >= 9 else 1))
     with pytest.raises(CellModelError, match=r"merge \(8, 1\).* not a unit mod 2"):
-        config_homology(9, TRIVIAL, GF(2), k_max=9)
+        config_homology(9, TRIVIAL, GF(2))
     with pytest.raises(CellModelError, match="not a unit mod 2"):
-        config_homology(9, TRIVIAL, Z, k_max=9)
-    assert config_homology(9, TRIVIAL, GF(3), k_max=9)
+        config_homology(9, TRIVIAL, Z)
+    assert config_homology(9, TRIVIAL, GF(3))
 
 
 def _nonzero_squares(k, rows_by_degree, cell_keys):
@@ -575,7 +576,7 @@ def test_triple_self_check_matches_the_per_cell_check(monkeypatch):
                     rows = {i: _lexicographic_rows(k, system, i) for i in range(1, k)}
                     broken = bool(_nonzero_squares(k, rows, index))
                     try:
-                        dual_fn_complex(k, system, k_max=k)
+                        dual_fn_complex(k, system)
                     except CellModelError:
                         refused = True
                     else:
@@ -671,7 +672,7 @@ def test_planted_p_squared_divisor_is_refused(monkeypatch, system):
     monkeypatch.setattr(braid, "_morse_rows", lambda matching, neighbours, i: [
         [(j, 3 * v if i == degree else v) for j, v in row] for row in real(matching, neighbours, i)])
     with pytest.raises(CellModelError, match=r"divisible by 3\^2"):
-        config_homology(k, system, Z, k_max=k)
+        config_homology(k, system, Z)
 
 
 def test_sign_tables_match_the_closed_form_by_weight():
@@ -679,7 +680,7 @@ def test_sign_tables_match_the_closed_form_by_weight():
     for p in (2, 3, 5, 7, 0):
         rows = loop_space_series(2, p, 48)
         for k in range(1, 25):
-            got = config_homology(k, SIGN, GF(p) if p else Q, k_max=24)
+            got = config_homology(k, SIGN, GF(p) if p else Q)
             assert got.dims(k) == rows[k][k : 2 * k + 1], (k, p)
 
 
@@ -688,7 +689,7 @@ def test_trivial_tables_match_the_closed_form_by_weight():
     for p in (2, 3, 5, 7, 0):
         rows = loop_space_series(2, p, 24, TRIVIAL)
         for k in range(1, 25):
-            got = config_homology(k, TRIVIAL, GF(p) if p else Q, k_max=24)
+            got = config_homology(k, TRIVIAL, GF(p) if p else Q)
             assert got.dims(k) == rows[k][: k + 1], (k, p)
 
 
@@ -697,7 +698,7 @@ def _integral_tables_match_the_closed_form(system, ks):
     # exponent-p torsion and no prime above k this fixes the integral table
     for k in ks:
         shift = k if system == SIGN else 0
-        table = config_homology(k, system, Z, k_max=k)
+        table = config_homology(k, system, Z)
         for p in (0, *(p for p in range(2, k + 1) if is_prime(p))):
             got = [table.dim_mod(j, p) if p else table.free_rank(j) for j in range(k + 1)]
             assert got == loop_space_series(2, p, shift + k, system)[k][shift:], (k, system, p)
@@ -798,21 +799,34 @@ def test_every_cut_of_the_series_matches_the_closed_form(N, T, ring):
 
 
 def test_enumerate_cells_bounds():
-    with pytest.raises(ValueError):
-        dual_fn_complex(0, TRIVIAL)
-    with pytest.raises(ValueError):
-        dual_fn_complex(11, TRIVIAL)
-    assert dual_fn_complex(11, TRIVIAL, k_max=11)
+    # the dense oracle's memory guard is fixed at k = 10: no argument raises it
+    for k, system in ((0, TRIVIAL), (11, TRIVIAL), (3, "bogus")):
+        with pytest.raises(ValueError):
+            dual_fn_complex(k, system)
+    with pytest.raises(TypeError):
+        dual_fn_complex(11, TRIVIAL, k_max=11)
+    assert list(inspect.signature(dual_fn_complex).parameters) == ["k", "system"]
+    assert dual_fn_complex(10, SIGN).generator_counts == {i: comb(9, i) for i in range(10)}
 
 
 def test_bounds_are_enforced():
-    with pytest.raises(ValueError):
-        config_homology(11, TRIVIAL, Z)
-    with pytest.raises(ValueError):
-        dual_fn_complex(0, TRIVIAL)
-    with pytest.raises(ValueError):
-        config_homology(3, "bogus", Z)
-    assert config_homology(11, TRIVIAL, GF(2), k_max=11) is not None
+    # the engine has no summand bound: it refuses only k < 1 and an unknown system
+    for ring in (Z, GF(2)):
+        for k, system in ((0, TRIVIAL), (-1, SIGN), (3, "bogus")):
+            with pytest.raises(ValueError):
+                config_homology(k, system, ring)
+        with pytest.raises(ValueError):
+            dk_homology(0, ring)
+    for fn in (config_homology, dk_homology):
+        assert "k_max" not in inspect.signature(fn).parameters
+    table = config_homology(11, TRIVIAL, Z)
+    assert config_homology(11, TRIVIAL, GF(2)).dims(10) == [table.dim_mod(i, 2) for i in range(11)]
+
+
+def test_the_summand_bound_is_the_requests_not_the_engines():
+    with pytest.raises(ValueError, match="beyond the configured bound 10"):
+        hol_homology(11, 2, GF(2))
+    assert config_homology(11, SIGN, GF(2)).dims(11) == loop_space_series(2, 2, 22)[11][11:]
 
 
 def test_memo_shares_results(tmp_path):

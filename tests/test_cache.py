@@ -88,18 +88,27 @@ def _entry(homology):
     return {"format": CACHE_FORMAT, "version": CACHE_VERSION, "k": KEY.k, "system": KEY.system, "homology": homology}
 
 
+DEEP = "[" * 100000  # nested past the JSON parser's recursion limit
+
+
 # none may crash the reader, nor pass the table checks once its values are taken as integers
 @pytest.mark.parametrize("body", [
-    [], None, "x",
-    _entry([]),
-    _entry({"0": [1, []], "1": [1, [6.5]]}),
-    _entry({"0": [1, []], "1": [1, ["3"]]}),
-    _entry({"0": [1, []], "1": [True, []]}),
-    _entry({"0": [1.0, []], "1": [1, [2]]}),
-], ids=["list", "null", "string", "table_list", "float_order", "string_order", "bool_rank", "float_rank"])
+    *(json.dumps(doc).encode() for doc in (
+        [], None, "x",
+        _entry([]),
+        _entry({"0": [1, []], "1": [1, [6.5]]}),
+        _entry({"0": [1, []], "1": [1, ["3"]]}),
+        _entry({"0": [1, []], "1": [True, []]}),
+        _entry({"0": [1.0, []], "1": [1, [2]]}),
+    )),
+    b"\xff\xfe\x00garbage",
+    DEEP.encode(),
+    json.dumps(_entry(None)).replace("null", DEEP).encode(),
+], ids=["list", "null", "string", "table_list", "float_order", "string_order", "bool_rank", "float_rank",
+        "not_utf8", "deep", "deep_table"])
 def test_malformed_entry_warns_misses_and_is_recomputed(cache, body):
     cache.directory.mkdir(parents=True)
-    cache.path_for(KEY).write_text(json.dumps(body))
+    cache.path_for(KEY).write_bytes(body)
     with pytest.warns(UserWarning, match="corrupted"):
         assert reader(cache).get(KEY) is None
     truth = braid.config_homology(KEY.k, KEY.system)

@@ -422,15 +422,25 @@ def test_cache_stats_and_clear(tmp_path, capsys):
     assert json.loads(out)["result"]["entries"] == 0
 
 
-@pytest.mark.parametrize("homology", [[], {"0": [0, [6.5]], "1": [0, [3]]}], ids=["not_an_object", "float_order"])
-def test_malformed_cache_entry_prints_the_cold_bytes(tmp_path, capsys, homology):
+def _k3_sign_entry(homology) -> bytes:
+    return json.dumps({"format": "polystab-braid-homology", "version": 1, "k": 3, "system": "sign",
+                       "homology": homology}).encode()
+
+
+@pytest.mark.parametrize("body", [
+    _k3_sign_entry([]),
     # taken as an integer, 6.5 would pass every table check and print Z/6 where H_3 is Z/2
+    _k3_sign_entry({"0": [0, [6.5]], "1": [0, [3]]}),
+    b"\xff\xfe\x00garbage",  # not UTF-8
+    b"[" * 100000,  # nested past the JSON parser's recursion limit
+    _k3_sign_entry(None).replace(b"null", b"[" * 100000),
+], ids=["not_an_object", "float_order", "not_utf8", "deep", "deep_table"])
+def test_malformed_cache_entry_prints_the_cold_bytes(tmp_path, capsys, body):
     args = ("betti", "--d", "6", "--m", "1", "--n", "2", "--json", "--cache-dir")
     _, cold, _ = run(capsys, *args, str(tmp_path / "cold"))
     entry = tmp_path / "warm" / "braid_v1_k3_sign.json"
     entry.parent.mkdir()
-    entry.write_text(json.dumps({"format": "polystab-braid-homology", "version": 1, "k": 3, "system": "sign",
-                                 "homology": homology}))
+    entry.write_bytes(body)
     with pytest.warns(UserWarning, match="corrupted"):
         code, out, _ = run(capsys, *args, str(entry.parent))
     assert (code, out) == (0, cold)
@@ -572,14 +582,14 @@ def test_a_command_builds_only_its_subparser():
 # each export's home module, as the package imported them eagerly
 EXPORT_HOMES = {
     "abelian": "AbelianGroup GradedAbelianGroup invariant_factors",
-    "braid": "DEFAULT_K_MAX SIGN TRIVIAL CellModelError config_homology dk_homology dual_fn_complex shuffle_sum",
+    "braid": "SIGN TRIVIAL CellModelError config_homology dk_homology dual_fn_complex shuffle_sum",
     "cache": "BraidHomologyKey HomologyCache default_cache_dir",
     "complexes": "ChainComplex complex_homology",
     "ffield": "FpTuple closed_form_count count_points is_member max_common_multiplicity squarefree_multiplicities",
     "jets": "JetEquivalenceReport QTuple jet_equivalence_check jet_map q_membership_hol q_membership_poly",
     "linalg": "IntMatrix SmithForm smith_normal_form",
     "poly": "Poly poly_gcd",
-    "rings": "GF Q Ring Z parse_ring",
+    "rings": "DEFAULT_K_MAX GF Q Ring Z parse_ring",
     "spaces": "E1Page HomologyTable Params PoincareSeries e1_page_hol e1_page_poly hol_homology "
               "omega_series poly_homology stability_dimension",
 }
