@@ -65,10 +65,9 @@ class AbelianGroup(Value):
     def is_zero(self) -> bool:
         return self.free_rank == 0 and not self.torsion
 
-    def direct_sum(self, other: "AbelianGroup") -> "AbelianGroup":
-        return AbelianGroup.from_orders(
-            self.free_rank + other.free_rank, self.torsion + other.torsion
-        )
+    def direct_sum(self, *others: "AbelianGroup") -> "AbelianGroup":
+        groups = (self, *others)  # normalized once, however many summands
+        return AbelianGroup.from_orders(sum(g.free_rank for g in groups), [t for g in groups for t in g.torsion])
 
     def p_torsion_count(self, p: int) -> int:
         return sum(1 for t in self.torsion if t % p == 0)
@@ -129,11 +128,12 @@ class GradedAbelianGroup:
         return GradedAbelianGroup({d + offset: g for d, g in self._groups.items()})
 
     def direct_sum(self, *others: "GradedAbelianGroup") -> "GradedAbelianGroup":
-        acc: dict[int, AbelianGroup] = dict(self._groups)
-        for other in others:
-            for d, g in other._groups.items():
-                acc[d] = acc[d].direct_sum(g) if d in acc else g
-        return GradedAbelianGroup(acc)
+        """Collect each degree's summands over all the groups, then normalize each degree once."""
+        parts: dict[int, list[AbelianGroup]] = {}
+        for graded in (self, *others):
+            for d, g in graded._groups.items():
+                parts.setdefault(d, []).append(g)
+        return GradedAbelianGroup({d: g.direct_sum(*rest) for d, (g, *rest) in parts.items()})
 
     def dims(self, through: int) -> list[int]:
         """Free ranks in degrees 0..through (the dimensions, for field tables)."""

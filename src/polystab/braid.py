@@ -128,10 +128,8 @@ from itertools import combinations
 from math import comb
 
 from .abelian import AbelianGroup, GradedAbelianGroup
-from .rings import CellModelError, Ring, Z, is_prime
+from .rings import SIGN, TRIVIAL, CellModelError, Ring, Z, is_prime
 
-TRIVIAL = "trivial"
-SIGN = "sign"
 _DENSE_K_MAX = 10  # dual_fn_complex's memory guard: its dense matrices span all 2^(k-1) cells
 
 
@@ -444,35 +442,24 @@ def _homology(k: int, system: str, ring: Ring) -> GradedAbelianGroup:
     })
 
 
-def config_homology(k: int, system: str, ring: Ring = Z, *, cache: HomologyCache | None = None) -> GradedAbelianGroup:
+def config_homology(k: int, system: str, ring: Ring = Z) -> GradedAbelianGroup:
     """H_*(C_k(C); L x ring) for L the trivial or sign rank-one system, in every degree 0..k-1.
 
     Any k >= 1 is computed: the engine has no summand bound (requests are bounded
     where they enter, in :mod:`polystab.spaces` and the CLI); k < 1 and an unknown
-    system raise ValueError.  Integral tables are read from and written to
-    ``cache`` when one is given (its in-memory front makes repeated queries in one
-    process free); without a cache every call recomputes.  Field dimensions are
-    always computed.
+    system raise ValueError.  Every call computes its table afresh: the request
+    layer, :mod:`polystab.spaces`, reads and writes the integral cache.
     """
     _check(k, system)
-    if ring != Z:
-        return _homology(k, system, ring)
-    from .cache import BraidHomologyKey  # field tables are never cached, so they never load the cache
-    key = BraidHomologyKey(k, system)
-    result = cache.get(key) if cache is not None else None
-    if result is None:
-        result = _homology(k, system, Z)
-        if cache is not None:
-            cache.put(key, result)
-    return result
+    return _homology(k, system, ring)
 
 
-def dk_homology(k: int, ring: Ring = Z, *, cache: HomologyCache | None = None) -> GradedAbelianGroup:
+def dk_homology(k: int, ring: Ring = Z) -> GradedAbelianGroup:
     """Reduced homology of the k-th stable summand D_k = F(C,k)+ ^_{S_k} (S^1)^^k, for any k >= 1.
 
     The symmetric group acts on the top cell of the smash power through the
     sign character, so this is sign-twisted configuration-space homology
     shifted up by k; it vanishes below degree k (and at or above degree 2k).
-    ``cache`` and the refusals are those of :func:`config_homology`.
+    The refusals are those of :func:`config_homology`, and it reads no cache either.
     """
-    return config_homology(k, SIGN, ring, cache=cache).shift(k)
+    return config_homology(k, SIGN, ring).shift(k)

@@ -1,4 +1,4 @@
-"""Persistent cache for configuration-space homology results.
+"""Persistent cache for integral configuration-space tables; only :mod:`polystab.spaces` uses it.
 
 One file per (k, coefficient system) key.  Files are JSON beginning with a
 format/version tag and the key itself; writes go through a temporary file and
@@ -124,10 +124,10 @@ class HomologyCache:
             raise
         self._memory[key] = value
 
-    def _entries(self) -> list[Path]:
+    def _entries(self, pattern: str = "braid_v*_k*_*.json") -> list[Path]:
         if not self.directory.is_dir():
             return []
-        return sorted(self.directory.glob("braid_v*_k*_*.json"))
+        return sorted(self.directory.glob(pattern))
 
     def stats(self) -> dict:
         entries = self._entries()
@@ -140,10 +140,10 @@ class HomologyCache:
     def clear(self) -> int:
         self._memory.clear()
         removed = 0
-        for path in self._entries():
+        for path in self._entries() + self._entries("braid_v*_k*_*.json*.tmp"):  # + temp files of killed puts
             try:
                 path.unlink()
-                removed += 1
+                removed += path.suffix == ".json"  # the count is of entries
             except OSError:
                 pass
         return removed

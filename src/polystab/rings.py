@@ -9,6 +9,7 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # below it, Miller-Rabin with those bases decides primality exactly.
 MILLER_RABIN_BOUND = 3317044064679887385961981
 
+TRIVIAL, SIGN = "trivial", "sign"  # the coefficient systems, here so spaces keys a cached table without the engine
 DEFAULT_K_MAX = 10  # the default bound on a request's summands, checked by spaces and the CLI; the engine has none
 
 

@@ -5,25 +5,26 @@ summands D_k, k = 1..d, the k-th shifted up by 2(N-2)k.  The space of
 m-tuples of monic degree-d polynomials with no common root of multiplicity
 >= n is, in homology, the rational-map space at (floor(d/n), mn), so its
 table and first page are the rational-map ones reparametrised.  Everything
-here is bookkeeping over :func:`polystab.braid.dk_homology`, plus the
-first-page tables of the associated spectral sequences and the Poincare
-series of the limiting double loop space.
+here is bookkeeping over :func:`polystab.braid.config_homology`, plus the
+first-page tables and the Poincare series of the limiting double loop space;
+and this is the one layer that reads and writes the integral cache.
 """
 
 from __future__ import annotations
 
-from .rings import DEFAULT_K_MAX, Ring, Value, Z
+from .rings import DEFAULT_K_MAX, SIGN, Ring, Value, Z
 
 MN2_NOTE = "mn=2: identification with the limit space is stable/homology-level only"
-_ENGINE = ("AbelianGroup", "GradedAbelianGroup", "SIGN", "config_homology", "dk_homology")
+_ENGINE = ("AbelianGroup", "GradedAbelianGroup", "config_homology", "dk_homology")
 
 
-def _load_engine() -> None:
-    """Bind the engine's names here once (a wrapper may replace them later); stability_dimension needs none."""
-    global AbelianGroup, GradedAbelianGroup, SIGN, config_homology, dk_homology
-    if "dk_homology" not in globals():
-        from .abelian import AbelianGroup, GradedAbelianGroup
-        from .braid import SIGN, config_homology, dk_homology
+def _load_engine(groups_only: bool = False) -> None:
+    """Bind the group types here, then the engine's names once (a wrapper may replace them later)
+    unless ``groups_only``: a cached table needs only the groups, stability_dimension neither."""
+    global AbelianGroup, GradedAbelianGroup, config_homology, dk_homology
+    from .abelian import AbelianGroup, GradedAbelianGroup
+    if not groups_only and "dk_homology" not in globals():
+        from .braid import config_homology, dk_homology
 
 
 def __getattr__(name: str):  # PEP 562: reading an engine name from outside binds the engine first
@@ -82,14 +83,36 @@ class PoincareSeries(Value):
 
 
 def _check_summands(d: int, N: int, k_max: int, reach: str) -> None:
-    """Load the engine, then refuse N < 2, d < 0 and d > k_max; ``reach`` words the last refusal."""
-    _load_engine()
+    """Bind the group types, then refuse k_max < 0 (0 admits the point alone), N < 2, d < 0 and d > k_max;
+    ``reach`` words the last refusal."""
+    _load_engine(groups_only=True)
+    if k_max < 0:
+        raise ValueError(f"the summand bound k_max={k_max} is negative: it must be at least 0")
     if N < 2:
         raise ValueError("need N >= 2")
     if d < 0:
         raise ValueError("degree must be nonnegative")
     if d > k_max:
         raise ValueError(f"{reach} k={d}, beyond the configured bound {k_max}")
+
+
+def _sign_tables(d: int, ring: Ring, cache: HomologyCache | None) -> list[GradedAbelianGroup]:
+    """H_*(C_k; sign x ring) for k = 1..d: the only code that reads or writes integral tables.
+
+    Field tables, and all tables without a cache, are computed.  Over Z each table is read from the
+    cache, the engine is bound only if one is missing, and each missing table is computed and put.
+    """
+    if cache is None or ring != Z:
+        _load_engine()
+        return [config_homology(k, SIGN, ring) for k in range(1, d + 1)]
+    from .cache import BraidHomologyKey
+    tables = [cache.get(BraidHomologyKey(k, SIGN)) for k in range(1, d + 1)]
+    for k, table in enumerate(tables, 1):
+        if table is None:
+            _load_engine()
+            tables[k - 1] = table = config_homology(k, SIGN, Z)
+            cache.put(BraidHomologyKey(k, SIGN), table)
+    return tables
 
 
 def stability_dimension(d: int, m: int, n: int) -> int:
@@ -118,14 +141,8 @@ def poly_homology(
     return table.replace(notes=(MN2_NOTE,)) if p.mn == 2 else table
 
 
-def hol_homology(
-    d: int,
-    N: int,
-    ring: Ring = Z,
-    *,
-    k_max: int = DEFAULT_K_MAX,
-    cache: HomologyCache | None = None,
-) -> HomologyTable:
+def hol_homology(d: int, N: int, ring: Ring = Z, *, k_max: int = DEFAULT_K_MAX,
+                 cache: HomologyCache | None = None) -> HomologyTable:
     """Complete homology of the degree-d based rational-map space into CP^{N-1}.
 
     The direct sum of the point and the summands D_k, k = 1..d, each shifted
@@ -133,12 +150,8 @@ def hol_homology(
     makes the finite sum complete in every degree.
     """
     _check_summands(d, N, k_max, "needs summands up to")
-    total = GradedAbelianGroup({0: AbelianGroup(1)})
-    for k in range(1, d + 1):
-        total = total.direct_sum(
-            dk_homology(k, ring, cache=cache).shift(2 * (N - 2) * k)
-        )
-    return HomologyTable(total, ring)
+    summands = (table.shift((2 * N - 3) * k) for k, table in enumerate(_sign_tables(d, ring, cache), 1))
+    return HomologyTable(GradedAbelianGroup({0: AbelianGroup(1)}).direct_sum(*summands), ring)
 
 
 class E1Page(Value):
@@ -155,7 +168,7 @@ class E1Page(Value):
         return f"E1Page(ring={self.ring!r}, k_top={self.k_top!r}, twist={self.twist!r})"
 
     def entry(self, k: int, s: int) -> AbelianGroup:
-        _load_engine()  # a page may come from another process, as a pickle
+        _load_engine(groups_only=True)  # a page may come from another process, as a pickle
         return self.entries.get((k, s), AbelianGroup())
 
     def nonzero_cells(self) -> list[tuple[int, int]]:
@@ -177,21 +190,14 @@ def e1_page_poly(
     return e1_page_hol(p.top_summand, p.mn, ring, k_max=k_max, cache=cache)
 
 
-def e1_page_hol(
-    d: int,
-    N: int,
-    ring: Ring = Z,
-    *,
-    k_max: int = DEFAULT_K_MAX,
-    cache: HomologyCache | None = None,
-) -> E1Page:
+def e1_page_hol(d: int, N: int, ring: Ring = Z, *, k_max: int = DEFAULT_K_MAX,
+                cache: HomologyCache | None = None) -> E1Page:
     """First page for the rational-map space: columns 1..d, twist 2(N-1),
     entry (k, s) the sign-twisted homology of C_k in degree s - 2(N-1)k."""
     _check_summands(d, N, k_max, "first-page columns run to")
     twist = 2 * (N - 1)
     entries: dict[tuple[int, int], AbelianGroup] = {(0, 0): AbelianGroup(1)}
-    for k in range(1, d + 1):
-        column = config_homology(k, SIGN, ring, cache=cache)
+    for k, column in enumerate(_sign_tables(d, ring, cache), 1):
         for i in column.degrees():
             entries[(k, twist * k + i)] = column.group(i)
     return E1Page(ring, d, twist, entries)
@@ -203,7 +209,7 @@ def omega_series(N: int, ring: Ring, through: int, *, k_max: int = DEFAULT_K_MAX
     Degree j collects dim of the shifted summand D_k over all k >= 0; summand
     k starts in degree (2N-3)k, so the request is exact precisely when every
     k <= through/(2N-3) is inside ``k_max``, the request's summand bound;
-    larger requests are refused rather than silently truncated.  Each
+    larger requests and a negative bound are refused, not silently truncated.  Each
     summand's table is whole, and this is where the series is cut: degrees
     above ``through`` are dropped.  The ring must be a field, whose tables are
     computed and never cached, so the series takes no cache.
@@ -215,6 +221,8 @@ def omega_series(N: int, ring: Ring, through: int, *, k_max: int = DEFAULT_K_MAX
         raise ValueError("series dimensions need field coefficients (Q or F_p)")
     if through < 0:
         raise ValueError("through must be nonnegative")
+    if k_max < 0:
+        raise ValueError(f"the summand bound k_max={k_max} is negative: it must be at least 0")
     bound = (2 * N - 3) * (k_max + 1) - 1
     if through > bound:
         raise ValueError(

@@ -64,10 +64,11 @@ Checks = Iterator[tuple[str, bool, str]]
 
 
 def suite_splitting(cache: HomologyCache | None = None) -> Checks:
-    """Assembled tables for (d, 1, 2) equal direct homology of d points, d = 2..12."""
+    """Assembled tables for (d, 1, 2), read through the cache, equal direct homology of d points
+    computed afresh, d = 2..12."""
     for d in range(2, 13):
         left = spaces.poly_homology(d, 1, 2, Z, cache=cache).groups
-        right = braid.config_homology(d, braid.TRIVIAL, Z, cache=cache)
+        right = braid.config_homology(d, braid.TRIVIAL, Z)
         yield f"d{d}", left == right, f"assembled={left.describe()} direct={right.describe()}"
 
 
@@ -135,8 +136,8 @@ def suite_cells(cache: HomologyCache | None = None) -> Checks:
         # the rational route must give the p = 0 row itself
         for system in (braid.TRIVIAL, braid.SIGN):
             shift = k if system == braid.SIGN else 0
-            table = braid.config_homology(k, system, Z, cache=cache)
-            rational = braid.config_homology(k, system, Q, cache=cache)
+            table = braid.config_homology(k, system, Z)
+            rational = braid.config_homology(k, system, Q)
             want = {p: loop_space_series(2, p, shift + k, system)[k][shift:]
                     for p in [0] + [p for p in range(2, k + 1) if is_prime(p)]}
             ok = rational.dims(k) == want[0] and all(
@@ -218,7 +219,7 @@ def suite_series(cache: HomologyCache | None = None) -> Checks:
 
 def suite_d2(cache: HomologyCache | None = None) -> Checks:
     """The second stable summand has one Z/2, in degree 2."""
-    got = braid.dk_homology(2, Z, cache=cache)
+    got = braid.dk_homology(2, Z)
     want = GradedAbelianGroup({2: AbelianGroup(0, (2,))})
     yield "fixture", got == want, got.describe()
 

@@ -1,14 +1,18 @@
 import inspect
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 from functools import cache
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 
-from polystab import braid, linalg
+from polystab import braid, linalg, spaces
 from polystab.abelian import AbelianGroup, GradedAbelianGroup
 from polystab.braid import (
     SIGN,
@@ -23,7 +27,7 @@ from polystab.cache import HomologyCache
 from polystab.complexes import ChainComplex, complex_homology
 from polystab.linalg import IntMatrix, eliminate, smith_normal_form
 from polystab.rings import GF, Q, Z, is_prime
-from polystab.spaces import hol_homology, omega_series
+from polystab.spaces import e1_page_hol, hol_homology, omega_series
 from polystab.verify import loop_space_series
 
 Z1 = AbelianGroup(1)
@@ -829,8 +833,22 @@ def test_the_summand_bound_is_the_requests_not_the_engines():
     assert config_homology(11, SIGN, GF(2)).dims(11) == loop_space_series(2, 2, 22)[11][11:]
 
 
-def test_memo_shares_results(tmp_path):
+def test_memo_shares_results(tmp_path, monkeypatch):
     cache = HomologyCache(tmp_path)
-    first = config_homology(6, SIGN, Z, cache=cache)
-    second = config_homology(6, SIGN, Z, cache=cache)
-    assert first is second  # the cache's memory front returns the identical table
+    first = e1_page_hol(6, 2, Z, cache=cache)
+    monkeypatch.setattr(spaces, "config_homology", None)  # the second request computes nothing
+    second = e1_page_hol(6, 2, Z, cache=cache)
+    # the cache's memory front returns the identical tables, so the columns hold the identical groups
+    assert all(second.entries[cell] is group for cell, group in first.entries.items() if cell[0])
+    assert first.entries.keys() == second.entries.keys()
+
+
+def test_the_engine_never_loads_the_cache():
+    code = (
+        "import sys; from polystab.braid import SIGN, config_homology; from polystab.rings import Z; "
+        "print(config_homology(6, SIGN, Z).to_payload() == {'0': [0, [2]], '2': [0, [6]], '3': [0, [10]]}, "
+        "'polystab.cache' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert done.stdout.split() == ["True", "False"], done.stderr

@@ -1,10 +1,13 @@
 import json
+import os
+import tempfile
 
 import pytest
 
 from polystab import braid
 from polystab.abelian import AbelianGroup, GradedAbelianGroup
 from polystab.cache import CACHE_FORMAT, CACHE_VERSION, BraidHomologyKey, HomologyCache, default_cache_dir
+from polystab.spaces import e1_page_hol, hol_homology
 
 
 @pytest.fixture
@@ -111,10 +114,9 @@ def test_malformed_entry_warns_misses_and_is_recomputed(cache, body):
     cache.path_for(KEY).write_bytes(body)
     with pytest.warns(UserWarning, match="corrupted"):
         assert reader(cache).get(KEY) is None
-    truth = braid.config_homology(KEY.k, KEY.system)
     with pytest.warns(UserWarning, match="corrupted"):
-        assert braid.config_homology(KEY.k, KEY.system, cache=reader(cache)) == truth
-    assert reader(cache).get(KEY) == truth  # rewritten
+        assert hol_homology(KEY.k, 2, cache=reader(cache)) == hol_homology(KEY.k, 2)
+    assert reader(cache).get(KEY) == braid.config_homology(KEY.k, KEY.system)  # rewritten
 
 
 def test_possible_torsion_is_served(cache):
@@ -141,6 +143,16 @@ def test_stats_and_clear(cache):
     assert cache.get(KEY) is None  # the memory front is emptied too
 
 
+def test_clear_removes_the_temp_files_of_killed_puts(cache):
+    cache.put(KEY, SAMPLE)
+    # a put killed between mkstemp and the rename leaves its temporary file behind
+    fd, _ = tempfile.mkstemp(dir=cache.directory, prefix=cache.path_for(KEY).name, suffix=".tmp")
+    os.close(fd)
+    (cache.directory / "notes.tmp").write_text("not ours")
+    assert cache.clear() == 1  # entries only
+    assert [p.name for p in cache.directory.iterdir()] == ["notes.tmp"]
+
+
 def test_key_validation():
     with pytest.raises(ValueError):
         BraidHomologyKey(0, "sign")
@@ -149,23 +161,24 @@ def test_key_validation():
 
 
 def test_config_homology_persists_and_reloads(cache):
-    value = braid.config_homology(5, braid.SIGN, cache=cache)
+    hol_homology(5, 2, cache=cache)
     key = BraidHomologyKey(5, "sign")
-    assert reader(cache).get(key) == value
+    assert reader(cache).get(key) == braid.config_homology(5, braid.SIGN)
     # a fresh instance must take the answer from disk, not recompute it
     sentinel = GradedAbelianGroup({1: AbelianGroup(7), 2: AbelianGroup(7, (5,))})
     cache.put(key, sentinel)
-    assert braid.config_homology(5, braid.SIGN, cache=reader(cache)) == sentinel
+    page = e1_page_hol(5, 2, cache=reader(cache))  # column 5 holds H_i(C_5; sign) at s = 2 * 5 + i
+    assert GradedAbelianGroup({s - 10: page.entry(k, s) for k, s in page.nonzero_cells() if k == 5}) == sentinel
 
 
 def test_corrupt_cache_recomputes(cache):
-    value = braid.config_homology(4, braid.SIGN, cache=cache)
+    value = hol_homology(4, 2, cache=cache)
     path = cache.path_for(BraidHomologyKey(4, "sign"))
     path.write_text("garbage")
     with pytest.warns(UserWarning):
-        again = braid.config_homology(4, braid.SIGN, cache=reader(cache))
+        again = hol_homology(4, 2, cache=reader(cache))
     assert again == value
-    assert reader(cache).get(BraidHomologyKey(4, "sign")) == value  # rewritten
+    assert reader(cache).get(BraidHomologyKey(4, "sign")) == braid.config_homology(4, braid.SIGN)  # rewritten
 
 
 def test_default_cache_dir_env(monkeypatch, tmp_path):

@@ -480,6 +480,17 @@ def test_f3_table_through_k60_answers_quickly(tmp_path):
     assert elapsed < 5, f"took {elapsed:.2f}s"
 
 
+def test_a_negative_summand_bound_exits_one_and_zero_admits_the_point(tmp_path, capsys):
+    point = ("betti", "--d", "1", "--m", "2", "--n", "2", "--cache-dir", str(tmp_path))
+    for argv in (point, ("stable-series", "--n", "2", "--through", "0", "--ring", "q")):
+        code, out, err = run(capsys, *argv, "--k-max", "-1")
+        assert (code, out) == (1, ""), argv
+        assert "the summand bound k_max=-1 is negative" in err, argv
+    code, out, _ = run(capsys, *point, "--k-max", "0")
+    assert code == 0
+    assert "  H_0 = Z\n  exact: complete\n" in out
+
+
 def test_ring_past_primality_bound_exits_one(capsys):
     code, _, err = run(capsys, "betti", "--d", "2", "--m", "2", "--n", "2", "--ring", f"f{2**89 - 1}")
     assert code == 1
@@ -542,9 +553,11 @@ def test_commands_load_only_the_layers_they_run(tmp_path, argv, stdin, kind):
         assert not {"polystab.braid", "polystab.spaces", "polystab.linalg"} & set(loaded)
     if "--ring" in argv:  # field tables are never cached, and only a Z table's certificate eliminates
         assert not {"polystab.cache", "polystab.linalg"} & set(loaded)
-    if kind == "warm":  # a cached Z table certifies nothing
-        assert "polystab.cache" in loaded and "polystab.linalg" not in loaded
+    if kind == "table" and "--ring" not in argv:  # a Z table computed afresh runs the engine and its certificate
+        assert {"polystab.braid", "polystab.linalg"} <= set(loaded)
     package = {name for name in loaded if name.startswith("polystab.")}
+    if kind == "warm":  # the request layer reads the cache: no engine (braid), and no certificate (linalg)
+        assert package == {"polystab.cli", "polystab.rings", "polystab.spaces", "polystab.abelian", "polystab.cache"}
     if kind == "spaces":  # the closed form loads none of the homology engine
         assert package == {"polystab.cli", "polystab.rings", "polystab.spaces"}
     if kind in ("ffield", "jets"):  # the arithmetic oracles load none of the homology engine

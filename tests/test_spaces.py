@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from polystab import abelian
 from polystab.abelian import AbelianGroup, GradedAbelianGroup
 from polystab.braid import SIGN, TRIVIAL, config_homology, dk_homology
+from polystab.cache import HomologyCache
 from polystab.rings import GF, Q, Z
 from polystab.spaces import (
     MN2_NOTE,
@@ -175,6 +177,21 @@ def test_omega_series_guards():
     assert omega_series(2, Q, 11, k_max=11) is not None
 
 
+def test_a_negative_summand_bound_is_refused_and_zero_admits_the_point():
+    refused = (
+        lambda: poly_homology(1, 2, 2, Z, k_max=-1),  # needs no summand, yet the bound is refused
+        lambda: hol_homology(0, 2, GF(2), k_max=-1),
+        lambda: e1_page_hol(0, 2, Z, k_max=-1),
+        lambda: omega_series(2, Q, 0, k_max=-1),
+    )
+    for call in refused:
+        with pytest.raises(ValueError, match="the summand bound k_max=-1 is negative"):
+            call()
+    assert poly_homology(1, 2, 2, Z, k_max=0).groups == POINT
+    assert e1_page_hol(0, 2, Z, k_max=0).nonzero_cells() == [(0, 0)]
+    assert omega_series(2, Q, 0, k_max=0).coefficients == (1,)
+
+
 def _free_algebra_series(exterior_degrees, polynomial_degrees, through):
     coeffs = [0] * (through + 1)
     coeffs[0] = 1
@@ -266,6 +283,17 @@ def test_summand_degree_window():
     # so the assembled table is bounded by 2(mn-1)*k_top - 1
     table = poly_homology(6, 2, 2, Z)
     assert table.groups.top_degree() <= 2 * (4 - 1) * 3 - 1
+
+
+def test_assembly_normalizes_each_degree_once(tmp_path, monkeypatch):
+    cache = HomologyCache(tmp_path)
+    want = hol_homology(12, 2, Z, k_max=12, cache=cache)
+    calls = []
+    factors = abelian.invariant_factors
+    monkeypatch.setattr(abelian, "invariant_factors", lambda orders: calls.append(1) or factors(orders))
+    got = hol_homology(12, 2, Z, k_max=12, cache=HomologyCache(tmp_path))  # a warm table, read from disk
+    assert got == want
+    assert 0 < len(calls) <= len(got.groups.degrees())
 
 
 def test_tables_are_connected():
