@@ -2,7 +2,6 @@
 
 The package computes, with no floating point anywhere:
 
-* Smith normal form and homology of finite integer chain complexes;
 * homology of planar unordered configuration spaces with trivial or
   sign-twisted rank-one coefficients, from a finite cell model;
 * complete homology tables of the spaces of m-tuples of monic degree-d
@@ -16,15 +15,16 @@ The package computes, with no floating point anywhere:
 
 __version__ = "0.1.0"
 
-# Exports resolve on first use (PEP 562): a caller loads only the modules it touches.
+# Exports resolve on first use (PEP 562): a caller loads only the modules it touches.  complexes and linalg
+# export their module alone: the dense oracle and the kernel are imported from it.
 _EXPORTS = {
     "abelian": "AbelianGroup GradedAbelianGroup invariant_factors",
-    "braid": "SIGN TRIVIAL CellModelError config_homology dk_homology dual_fn_complex shuffle_sum",
+    "braid": "SIGN TRIVIAL CellModelError config_homology dk_homology shuffle_sum",
     "cache": "BraidHomologyKey HomologyCache default_cache_dir",
-    "complexes": "ChainComplex complex_homology",
-    "ffield": "FpTuple closed_form_count count_points is_member max_common_multiplicity squarefree_multiplicities",
+    "complexes": "",
+    "ffield": "closed_form_count count_points",
     "jets": "JetEquivalenceReport QTuple jet_equivalence_check jet_map q_membership_hol q_membership_poly",
-    "linalg": "IntMatrix SmithForm smith_normal_form",
+    "linalg": "",
     "poly": "Poly poly_gcd",
     "rings": "DEFAULT_K_MAX GF Q Ring Z parse_ring",
     "spaces": "E1Page HomologyTable Params PoincareSeries e1_page_hol e1_page_poly hol_homology "

@@ -27,10 +27,11 @@ This complex computes Borel-Moore homology; the space is an open complex
 manifold of real dimension 2k, so transposing the complex and regrading a
 cell of dimension j into homological degree 2k - j computes ordinary
 homology, with matching torsion.  :func:`config_homology` reduces it by ranks
-alone, for every ring; the dense :func:`dual_fn_complex` and Smith normal form
-are the test oracle.  Ranks are transpose-invariant, so the route works on the
-merge differential itself, which is the normalized bar complex of the
-divided-power algebra: block a is x^(a), and x^(a) x^(b) = s(a, b) x^(a+b).
+alone, for every ring; the dense oracle, ``dual_fn_complex`` and Smith normal
+form, lives in :mod:`polystab.complexes` and runs in the tests.  Ranks are
+transpose-invariant, so the route works on the merge differential itself,
+which is the normalized bar complex of the divided-power algebra: block a is
+x^(a), and x^(a) x^(b) = s(a, b) x^(a+b).
 
 **The Morse route** (algebraic discrete Morse theory: Skoldberg, Trans. AMS
 358, 2006; Joellenbeck-Welker, Mem. AMS 197, 2009, ch. 5).  Over F_p (p = 0
@@ -124,17 +125,15 @@ p; D's divisors are all exactly p iff the F_p rank of D/p is D's rank over Q.
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import comb
 
 from .abelian import AbelianGroup, GradedAbelianGroup
 from .rings import SIGN, TRIVIAL, CellModelError, Ring, Z, is_prime
 
-_DENSE_K_MAX = 10  # dual_fn_complex's memory guard: its dense matrices span all 2^(k-1) cells
-
 
 def __getattr__(name: str):  # PEP 562: names bound here only for perfbench/tracer.py to wrap
-    home = {"complex_homology": "complexes", "rank_int_rows": "linalg", "rank_mod_p_rows": "linalg"}.get(name)
+    home = {"complex_homology": "complexes", "dual_fn_complex": "complexes",
+            "rank_int_rows": "linalg", "rank_mod_p_rows": "linalg"}.get(name)
     if home is not None:
         from importlib import import_module
         return getattr(import_module(f".{home}", __package__), name)
@@ -163,40 +162,6 @@ def shuffle_sum(a: int, b: int, signed: bool) -> int:
     if a % 2 and b % 2:
         return 0
     return comb((a + b) // 2, a // 2)
-
-
-def dual_fn_complex(k: int, system: str) -> ChainComplex:
-    """Transpose of the cell complex regraded so degree i computes H_i.
-
-    A cell of dimension j lands in degree 2k - j; the boundary in degree i is
-    the transpose of the merge differential into the cells with k - i parts,
-    made dense from the faces of :func:`_neighbours`, the rule the tables run,
-    for the Smith normal form oracle and ``verify cells``.  Rows and columns
-    are numbered in ``combinations`` order of the cuts.  Poincare duality for
-    the open 2k-manifold makes this compute ordinary homology with the chosen
-    rank-one system.  The matrices hold every one of the 2^(k-1) cells, so k
-    above ``_DENSE_K_MAX`` (10), a fixed memory guard that no argument raises,
-    is refused with ValueError, as are k < 1 and an unknown system.
-    Construction raises :class:`CellModelError` if the boundary-squared
-    self-check fails.
-    """
-    from .complexes import ChainComplex  # the dense oracle: no table command loads it
-    from .linalg import IntMatrix
-    _check(k, system)
-    if k > _DENSE_K_MAX:
-        raise ValueError(f"k={k} is past the dense oracle's bound {_DENSE_K_MAX}")
-    faces, _ = _neighbours(_merge_coefficients(k, system))
-    cells = [[tuple(b - a for a, b in zip((0, *cuts), (*cuts, k))) for cuts in combinations(range(1, k), k - i - 1)]
-             for i in range(k)]  # degree i: the cells with k - i parts
-    boundary = {}
-    for i in range(1, k):
-        position = {cell: j for j, cell in enumerate(cells[i])}
-        dense = [[0] * len(cells[i]) for _ in cells[i - 1]]
-        for out, cell in zip(dense, cells[i - 1]):
-            for face, v in faces(cell):
-                out[position[face]] = v
-        boundary[i] = IntMatrix(len(cells[i - 1]), len(cells[i]), dense)
-    return ChainComplex({i: len(cells[i]) for i in range(k)}, boundary)
 
 
 def _merge_coefficients(k: int, system: str) -> list[list[int]]:

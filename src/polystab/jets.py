@@ -81,29 +81,31 @@ def _gcd(rows) -> list[int]:
     return a
 
 
-def jet_map(t: QTuple) -> list[Poly]:
-    """The mn jet entries, block k being f_k plus its first n-1 derivatives."""
-    out = []
+def jet_map(t: QTuple, *, _rows: list | None = None) -> list[Poly]:
+    """The mn jet entries, block k being f_k plus its first n-1 derivatives, each built on f_k's integer
+    row; a list passed as ``_rows`` receives every entry's integer row (the entry times a constant)."""
+    out, rows = [], [] if _rows is None else _rows
     for f in t.entries:
         out.append(f)
-        row = _row(f)
+        rows.append(row := _row(f))
         den = row[-1]
         for order in range(1, t.n):
-            entry = [c + dc for c, dc in zip_longest(row, _derivative(row, order), fillvalue=0)]
+            rows.append(entry := [c + dc for c, dc in zip_longest(row, _derivative(row, order), fillvalue=0)])
             out.append(_poly(0, entry if den == 1 else [Fraction(c, den) for c in entry]))
     return out
 
 
-def q_membership_poly(t: QTuple) -> bool:
-    """True when the entries have no common root of multiplicity >= n in Q-bar.
+def _member(rows, n: int) -> bool:
+    """True when the integer rows have no common root of multiplicity >= n in Q-bar: their common roots
+    are those of g = gcd(rows), and in characteristic zero one of multiplicity >= n survives in
+    every derivative g^{(j)}, j < n, so the condition is gcd(g, g', ..., g^{(n-1)}) being constant."""
+    g = _gcd(rows)
+    return len(g) == 1 or len(_gcd(_derivative(g, order) for order in range(n))) == 1
 
-    The common roots of the tuple are the roots of g = gcd(f_1, ..., f_m);
-    in characteristic zero one of multiplicity >= n survives in every
-    derivative g^{(j)}, j < n, so the condition is gcd(g, g', ..., g^{(n-1)})
-    being constant.
-    """
-    g = _gcd(map(_row, t.entries))
-    return len(g) == 1 or len(_gcd(_derivative(g, order) for order in range(t.n))) == 1
+
+def q_membership_poly(t: QTuple) -> bool:
+    """True when the entries have no common root of multiplicity >= n in Q-bar."""
+    return _member(map(_row, t.entries), t.n)
 
 
 def q_membership_hol(polys) -> bool:
@@ -111,7 +113,7 @@ def q_membership_hol(polys) -> bool:
     polys = list(polys)
     if not polys:
         raise ValueError("need at least one polynomial")
-    return len(_gcd(map(_row, polys))) == 1
+    return _member(map(_row, polys), 1)
 
 
 class JetEquivalenceReport(Value):
@@ -124,8 +126,9 @@ class JetEquivalenceReport(Value):
 
 def jet_equivalence_check(t: QTuple) -> JetEquivalenceReport:
     """Membership on both sides of the jet, the agreement flag, and the jet itself."""
-    jet = tuple(jet_map(t))
-    return JetEquivalenceReport(q_membership_poly(t), q_membership_hol(jet), jet)
+    rows: list[list[int]] = []  # each jet entry's integer row, f_k's own row first in block k
+    jet = tuple(jet_map(t, _rows=rows))
+    return JetEquivalenceReport(_member(rows[::t.n], t.n), _member(rows, 1), jet)
 
 
 def random_qtuple(

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from polystab import braid, linalg, spaces
+from polystab import braid, complexes, linalg, spaces
 from polystab.abelian import AbelianGroup, GradedAbelianGroup
 from polystab.braid import (
     SIGN,
@@ -20,12 +20,11 @@ from polystab.braid import (
     CellModelError,
     config_homology,
     dk_homology,
-    dual_fn_complex,
     shuffle_sum,
 )
 from polystab.cache import HomologyCache
-from polystab.complexes import ChainComplex, complex_homology
-from polystab.linalg import IntMatrix, eliminate, smith_normal_form
+from polystab.complexes import ChainComplex, IntMatrix, complex_homology, dual_fn_complex, smith_normal_form
+from polystab.linalg import eliminate
 from polystab.rings import GF, Q, Z, is_prime
 from polystab.spaces import e1_page_hol, hol_homology, omega_series
 from polystab.verify import loop_space_series
@@ -329,7 +328,7 @@ def test_each_degree_ranks_only_critical_cells(monkeypatch, system):
         certified.append((i, matching.p, rows))
         return rows
 
-    monkeypatch.setattr(braid, "combinations", _refuse_enumeration)
+    monkeypatch.setattr(braid, "combinations", _refuse_enumeration, raising=False)
     monkeypatch.setattr(braid, "_morse_rows", rows_spy)
     monkeypatch.setattr(linalg, "eliminate", lambda rows, modulus: eliminated.append(modulus) or
                         real_eliminate(rows, modulus))
@@ -388,7 +387,7 @@ def test_field_tables_run_no_flow(monkeypatch):
 
 
 def test_tables_build_no_full_row(monkeypatch):
-    monkeypatch.setattr(braid, "combinations", _refuse_enumeration)
+    monkeypatch.setattr(braid, "combinations", _refuse_enumeration, raising=False)
     assert config_homology(20, SIGN, GF(2)).dims(20) == loop_space_series(2, 2, 40)[20][20:]
     table = config_homology(16, TRIVIAL, Z)
     assert [table.dim_mod(j, 3) for j in range(17)] == loop_space_series(2, 3, 16, TRIVIAL)[16]
@@ -642,7 +641,7 @@ def test_integral_tables_match_the_smith_oracle():
 def test_smith_oracle_refuses_past_its_bit_budget():
     # at k = 10 (sign) the dense entries grow past 500,000 bits; the budget stops that early
     started = time.perf_counter()
-    with pytest.raises(ValueError, match=f"budget of {linalg.SNF_MAX_BITS} bits"):
+    with pytest.raises(ValueError, match=f"budget of {complexes.SNF_MAX_BITS} bits"):
         complex_homology(dual_fn_complex(10, SIGN), Z)
     assert time.perf_counter() - started < 5
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from polystab import braid, cli, complexes, ffield, jets, linalg, poly, verify
+from polystab import braid, cli, complexes, ffield, jets, poly, verify
 from polystab.abelian import GradedAbelianGroup
 from polystab.rings import MILLER_RABIN_BOUND
 
@@ -193,7 +193,7 @@ def test_jet_subcommand_builds_each_jet_once(tmp_path, capsys, monkeypatch):
     # the printed jet is the one the membership check built
     calls = []
     real = jets.jet_map
-    monkeypatch.setattr(jets, "jet_map", lambda t: calls.append(t) or real(t))
+    monkeypatch.setattr(jets, "jet_map", lambda t, **kwargs: calls.append(t) or real(t, **kwargs))
     source = tmp_path / "tuples.txt"
     source.write_text("0,0,1\n-1,0,1\n0,1;1,1\n")
     code, out, _ = run(capsys, "jet", "--n", "2", "--input", str(source), "--json")
@@ -538,15 +538,20 @@ print(json.dumps([code, sorted(set(sys.modules) - before)]))
     (("count", "--d", "2", "--m", "2", "--n", "2", "--p", "3"), None, "ffield"),
     (("jet", "--n", "2"), "0,0,1\n-1,0,1\n", "jets"),
     (("stable-series", "--n", "2", "--through", "8", "--ring", "f2"), None, "table"),
-], ids=["stability-dim", "betti-z", "betti-z-warm", "e1-f2", "cache-stats", "count", "jet", "stable-series-f2"])
+    (("hol-betti", "--d", "4", "--n", "3"), None, "table"),
+    (("verify", "all"), None, "verify"),
+], ids=["stability-dim", "betti-z", "betti-z-warm", "e1-f2", "cache-stats", "count", "jet", "stable-series-f2",
+        "hol-betti-z", "verify-all"])
 def test_commands_load_only_the_layers_they_run(tmp_path, argv, stdin, kind):
     if kind == "warm":  # a first call fills the cache that the measured one reads
         assert run_process("-m", "polystab.cli", *argv, "--json", "--cache-dir", str(tmp_path)).returncode == 0
     done = run_process("-c", LOADED_BY, *argv, "--json", "--cache-dir", str(tmp_path), stdin=stdin)
     code, loaded = json.loads(done.stdout.splitlines()[-1])
     assert code == 0, done.stderr
-    # the dense oracle (complexes) runs only in verify cells
+    # no command, not even a verify suite, loads the dense oracle (complexes)
     assert not {"dataclasses", "inspect", "polystab.complexes"} & set(loaded)
+    if kind == "verify":  # every suite runs
+        assert "polystab.verify" in loaded
     if kind in ("table", "warm", "cache", "spaces"):
         assert not {"fractions", "polystab.verify", "polystab.jets"} & set(loaded)
     if kind == "cache":
@@ -595,12 +600,12 @@ def test_a_command_builds_only_its_subparser():
 # each export's home module, as the package imported them eagerly
 EXPORT_HOMES = {
     "abelian": "AbelianGroup GradedAbelianGroup invariant_factors",
-    "braid": "SIGN TRIVIAL CellModelError config_homology dk_homology dual_fn_complex shuffle_sum",
+    "braid": "SIGN TRIVIAL CellModelError config_homology dk_homology shuffle_sum",
     "cache": "BraidHomologyKey HomologyCache default_cache_dir",
-    "complexes": "ChainComplex complex_homology",
-    "ffield": "FpTuple closed_form_count count_points is_member max_common_multiplicity squarefree_multiplicities",
+    "complexes": "",
+    "ffield": "closed_form_count count_points",
     "jets": "JetEquivalenceReport QTuple jet_equivalence_check jet_map q_membership_hol q_membership_poly",
-    "linalg": "IntMatrix SmithForm smith_normal_form",
+    "linalg": "",
     "poly": "Poly poly_gcd",
     "rings": "DEFAULT_K_MAX GF Q Ring Z parse_ring",
     "spaces": "E1Page HomologyTable Params PoincareSeries e1_page_hol e1_page_poly hol_homology "
@@ -675,11 +680,11 @@ def test_planted_p_squared_divisor_exits_two(capsys, monkeypatch):
 
 
 def test_commands_skip_the_dense_oracle(tmp_path, capsys, monkeypatch):
-    # integral tables come from ranks: only verify cells builds the dense complex
+    # integral tables come from ranks, and verify cells checks d.d = 0 on the sparse faces
     seen = set()
-    for owner, name in ((complexes, "smith_normal_form"), (linalg, "smith_normal_form"),
-                        (braid, "complex_homology"), (complexes, "complex_homology"),
-                        (braid, "dual_fn_complex")):
+    for owner, name in ((complexes, "smith_normal_form"), (braid, "complex_homology"),
+                        (complexes, "complex_homology"), (braid, "dual_fn_complex"),
+                        (complexes, "dual_fn_complex"), (complexes.ChainComplex, "check_boundary_condition")):
         def spy(*args, _real=getattr(owner, name), _name=name, **kwargs):
             seen.add(_name)
             return _real(*args, **kwargs)
@@ -697,7 +702,32 @@ def test_commands_skip_the_dense_oracle(tmp_path, capsys, monkeypatch):
         seen.clear()
         code, _, _ = run(capsys, *argv, "--json", "--cache-dir", str(tmp_path))
         assert code == 0, argv
-        assert seen == ({"dual_fn_complex"} if argv == ("verify", "cells") else set()), argv
+        assert seen == set(), argv
+
+
+def test_a_wrong_position_sign_fails_both_boundary_checks(capsys, monkeypatch):
+    # every merge given the sign of position 0: d.d no longer vanishes once a cell has 3 parts
+    real = braid._neighbours
+
+    def planted(s):
+        return (lambda c: [(c[:j] + (c[j] + c[j + 1],) + c[j + 2:], v)
+                           for j in range(len(c) - 1) if (v := s[c[j]][c[j + 1]])]), real(s)[1]
+
+    monkeypatch.setattr(braid, "_neighbours", planted)
+    code, out, _ = run(capsys, "verify", "cells", "--json")
+    assert code == 2
+    checks = {c["name"]: c for c in json.loads(out)["result"]["suites"][0]["checks"]}
+    assert len(checks) == 27
+    for k in range(1, 10):
+        notes = []
+        for system in (braid.TRIVIAL, braid.SIGN):  # the dense oracle, on the same planted faces
+            try:
+                complexes.dual_fn_complex(k, system).check_boundary_condition()
+            except ValueError as exc:
+                notes.append(f"{system}: {exc}")
+        check = checks[f"boundary_squared_k{k}"]
+        assert (check["passed"], check["detail"]) == (not notes, "; ".join(notes) or "d.d = 0"), k
+        assert check["passed"] == (k < 3), k
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,8 +4,7 @@ from itertools import combinations
 import pytest
 
 from polystab.abelian import AbelianGroup, GradedAbelianGroup
-from polystab.complexes import ChainComplex, complex_homology
-from polystab.linalg import IntMatrix
+from polystab.complexes import ChainComplex, IntMatrix, complex_homology
 from polystab.rings import GF, Q, Z
 
 

@@ -5,18 +5,12 @@ from math import gcd
 
 import pytest
 
-from polystab import linalg
-from polystab.linalg import (
-    SmithForm,
-    eliminate,
-    rank_int_rows,
-    rank_mod2_bitrows,
-    rank_mod_p_rows,
-    smith_normal_form,
-)
+from polystab import complexes
+from polystab.complexes import SmithForm, smith_normal_form
+from polystab.linalg import eliminate, rank_int_rows, rank_mod2_bitrows, rank_mod_p_rows
 
 
-class IntMatrix(linalg.IntMatrix):
+class IntMatrix(complexes.IntMatrix):
     """The library matrix plus ``from_rows``, a constructor only these tests use."""
 
     @classmethod

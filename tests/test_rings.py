@@ -4,9 +4,9 @@ import pytest
 
 from polystab.abelian import AbelianGroup, GradedAbelianGroup
 from polystab.cache import BraidHomologyKey
+from polystab.complexes import SmithForm
 from polystab.ffield import FpTuple
 from polystab.jets import JetEquivalenceReport, QTuple
-from polystab.linalg import SmithForm
 from polystab.poly import Poly
 from polystab.rings import MILLER_RABIN_BOUND, Q, Ring, Value, is_prime, parse_ring
 from polystab.spaces import E1Page, HomologyTable, Params, PoincareSeries
