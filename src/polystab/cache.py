@@ -20,7 +20,7 @@ from math import prod
 from pathlib import Path
 
 from .abelian import GradedAbelianGroup
-from .rings import Value, is_prime
+from .rings import SIGN, TRIVIAL, Value, is_prime
 
 CACHE_FORMAT = "polystab-braid-homology"
 CACHE_VERSION = 1
@@ -33,7 +33,7 @@ class BraidHomologyKey(Value):
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        if self.system not in ("trivial", "sign"):
+        if self.system not in (TRIVIAL, SIGN):
             raise ValueError(f"unknown coefficient system {self.system!r}")
 
 

@@ -20,7 +20,6 @@ from . import __version__
 from .rings import DEFAULT_K_MAX, CellModelError, is_prime, parse_ring  # each command loads the layers it runs
 
 SCHEMA_VERSION = 1
-COMMANDS = ("betti", "hol-betti", "e1", "stable-series", "stability-dim", "count", "jet", "verify", "cache")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,10 +55,10 @@ def _emit(args, payload: dict, lines: list[str]) -> None:
             print(line)
 
 
-def _report(command: str, parameters: dict, result: dict, exactness, notes=()) -> dict:
+def _report(args, parameters: dict, result: dict, exactness, notes=()) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
-        "command": command,
+        "command": args.command,
         "parameters": parameters,
         "result": result,
         "exactness_bound": exactness,
@@ -71,9 +70,7 @@ def _resolve_cache(args, ring=None) -> HomologyCache | None:
     if ring is not None and ring.is_field:  # field tables are never cached
         return None
     from .cache import HomologyCache, default_cache_dir
-    directory = getattr(args, "cache_dir", None)
-    path = Path(directory) if directory else default_cache_dir()
-    return HomologyCache(path)
+    return HomologyCache(Path(args.cache_dir) if args.cache_dir else default_cache_dir())
 
 
 def _table_lines(header: str, table: spaces.HomologyTable) -> list[str]:
@@ -89,9 +86,7 @@ def _table_lines(header: str, table: spaces.HomologyTable) -> list[str]:
     return lines
 
 
-def _cmd_table(args) -> int:
-    from . import spaces
-    ring = parse_ring(args.ring)
+def _cmd_table(args, spaces, ring) -> tuple:
     cache = _resolve_cache(args, ring)
     if args.command == "betti":
         table = spaces.poly_homology(args.d, args.m, args.n, ring, k_max=args.k_max, cache=cache)
@@ -101,20 +96,12 @@ def _cmd_table(args) -> int:
         table = spaces.hol_homology(args.d, args.n, ring, k_max=args.k_max, cache=cache)
         params = {"d": args.d, "n": args.n}
         header = f"rational-map-space homology d={args.d} target-n={args.n}"
-    payload = _report(
-        args.command,
-        {**params, "ring": ring.label},
-        {"homology": table.groups.to_payload()},
-        "complete",
-        table.notes + ("assembled from the stable summand splitting",),
-    )
-    _emit(args, payload, _table_lines(f"{header} over {ring}", table))
-    return 0
+    notes = table.notes + ("assembled from the stable summand splitting",)
+    payload = _report(args, {**params, "ring": ring.label}, {"homology": table.groups.to_payload()}, "complete", notes)
+    return payload, _table_lines(f"{header} over {ring}", table)
 
 
-def _cmd_e1(args) -> int:
-    from . import spaces
-    ring = parse_ring(args.ring)
+def _cmd_e1(args, spaces, ring) -> tuple:
     cache = _resolve_cache(args, ring)
     if args.flavor == "poly":
         if args.m is None:
@@ -130,51 +117,35 @@ def _cmd_e1(args) -> int:
         {"k": k, "s": s, "group": [page.entry(k, s).free_rank, list(page.entry(k, s).torsion)]}
         for k, s in page.nonzero_cells()
     ]
-    payload = _report(
-        "e1",
-        params,
-        {"entries": entries, "columns": page.k_top, "twist": page.twist},
-        "complete",
-        ("first page of the discriminant filtration",),
-    )
+    result = {"entries": entries, "columns": page.k_top, "twist": page.twist}
+    payload = _report(args, params, result, "complete", ("first page of the discriminant filtration",))
     lines = [f"first page ({args.flavor}), columns 0..{page.k_top}, twist {page.twist}"]
     for cell in entries:
         lines.append(f"  E1[{cell['k']},{cell['s']}] = {page.entry(cell['k'], cell['s'])}")
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
-def _cmd_stable_series(args) -> int:
-    from . import spaces
-    ring = parse_ring(args.ring)
+def _cmd_stable_series(args, spaces, ring) -> tuple:
     series = spaces.omega_series(args.n, ring, args.through, k_max=args.k_max)
     params = {"n": args.n, "ring": ring.label, "through": args.through}
-    payload = _report(
-        "stable-series",
-        params,
-        {"coefficients": list(series.coefficients)},
-        series.truncation,
-        (f"double loop space of S^{2 * args.n - 1}",),
-    )
+    result = {"coefficients": list(series.coefficients)}
+    payload = _report(args, params, result, series.truncation, (f"double loop space of S^{2 * args.n - 1}",))
     lines = [
         f"series of the double loop space of S^{2 * args.n - 1} over {ring}",
         "  " + " ".join(str(c) for c in series.coefficients),
         f"  exact through degree {series.truncation}",
     ]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
-def _cmd_stability_dim(args) -> int:
+def _cmd_stability_dim(args) -> tuple:
     from . import spaces
     value = spaces.stability_dimension(args.d, args.m, args.n)
     params = {"d": args.d, "m": args.m, "n": args.n}
-    payload = _report("stability-dim", params, {"dimension": value}, "complete")
-    _emit(args, payload, [str(value)])
-    return 0
+    return _report(args, params, {"dimension": value}, "complete"), [str(value)]
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args) -> tuple:
     from . import ffield
     d, m, n, p = args.d, args.m, args.n, args.p
     if not is_prime(p):
@@ -198,17 +169,8 @@ def _cmd_count(args) -> int:
     if args.mode == "both":
         result["equal"] = result["brute"] == result["formula"]
         lines.append("equal" if result["equal"] else "DIFFER")
-    payload = _report(
-        "count",
-        params,
-        result,
-        "complete",
-        ("exhaustive enumeration" if args.mode != "formula" else "closed form",),
-    )
-    _emit(args, payload, lines)
-    if args.mode == "both" and not result["equal"]:
-        return 2
-    return 0
+    notes = ("exhaustive enumeration" if args.mode != "formula" else "closed form",)
+    return _report(args, params, result, "complete", notes), lines, 0 if result.get("equal", True) else 2
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -259,7 +221,7 @@ def _format_qpoly(f: Poly) -> list[str]:
     return [str(c) for c in f.coeffs]
 
 
-def _cmd_jet(args) -> int:
+def _cmd_jet(args) -> tuple:
     from . import jets
     if args.input:
         text = Path(args.input).read_text(encoding="utf-8")
@@ -286,35 +248,26 @@ def _cmd_jet(args) -> int:
             f"jet_hol_member={str(report.jet_hol_member).lower()} "
             f"agree={str(report.agree).lower()}"
         )
-    payload = _report(
-        "jet",
-        {"n": args.n, "tuples": len(results)},
-        {"tuples": results},
-        "complete",
-        ("membership via exact gcd over Q",),
-    )
-    _emit(args, payload, lines)
-    return 0
+    params = {"n": args.n, "tuples": len(results)}
+    return _report(args, params, {"tuples": results}, "complete", ("membership via exact gcd over Q",)), lines
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple:
     from . import verify
     cache = _resolve_cache(args)
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     reports = [verify.run_suite(name, cache) for name in names]
     ok = all(r.passed for r in reports)
-    payload = _report(
-        "verify", {"suite": args.suite}, {"passed": ok, "suites": [r.to_payload() for r in reports]}, "complete"
-    )
+    result = {"passed": ok, "suites": [r.to_payload() for r in reports]}
+    payload = _report(args, {"suite": args.suite}, result, "complete")
     lines = []
     for r in reports:
         lines.extend(r.lines())
     lines.append(f"{'PASS' if ok else 'FAIL'} verify:{args.suite}")
-    _emit(args, payload, lines)
-    return 0 if ok else 2
+    return payload, lines, 0 if ok else 2
 
 
-def _cmd_cache(args) -> int:
+def _cmd_cache(args) -> tuple:
     cache = _resolve_cache(args)
     if args.action == "stats":
         result = cache.stats()
@@ -323,84 +276,61 @@ def _cmd_cache(args) -> int:
         removed = cache.clear()
         result = {"directory": str(cache.directory), "removed": removed}
         lines = [f"removed {removed} entries from {cache.directory}"]
-    payload = _report("cache", {"action": args.action}, result, "complete")
-    _emit(args, payload, lines)
-    return 0
+    return _report(args, {"action": args.action}, result, "complete"), lines
+
+
+def _arg(*flags, **kwargs) -> tuple:
+    return flags, kwargs
+
+
+_D, _M, _N = (_arg(f"--{name}", type=int, required=True) for name in "dmn")
+_COMMON = (
+    _arg("--json", action="store_true", help="emit one canonical JSON document"),
+    _arg("--cache-dir", help="homology cache directory (else POLYSTAB_CACHE, else platform default)"),
+)
+_TABLE = (  # a table command's arguments; main parses its ring and hands the handler (spaces, ring)
+    _arg("--k-max", type=int, default=DEFAULT_K_MAX, help="largest supported summand index"),
+    _arg("--ring", default="z", help="coefficients: z, q, or f<prime>"),
+)
+
+# name -> (help, handler, is a table command, own arguments); a handler returns (payload, lines[, status])
+_COMMANDS = {
+    "betti": ("homology of the polynomial-tuple space", _cmd_table, True, (_D, _M, _N)),
+    "hol-betti": ("homology of the based rational-map space", _cmd_table, True, (
+        _D, _arg("--n", type=int, required=True, help="target projective space has n-1 complex dimensions"))),
+    "e1": ("first page of the discriminant spectral sequence", _cmd_e1, True, (
+        _arg("--flavor", choices=["poly", "hol"], required=True),
+        _D, _arg("--m", type=int, help="poly flavor only"), _N)),
+    "stable-series": ("series of the limiting double loop space", _cmd_stable_series, True, (
+        _arg("--n", type=int, required=True, help="sphere parameter: the space is the double loops of S^(2n-1)"),
+        _arg("--through", type=int, required=True))),
+    "stability-dim": ("stability dimension (2mn-3)(floor(d/n)+1)-1", _cmd_stability_dim, False, (_D, _M, _N)),
+    "count": ("point counts over a prime field", _cmd_count, False, (
+        _D, _M, _N, _arg("--p", type=int, required=True),
+        _arg("--mode", choices=["brute", "formula", "both"], default="both"),
+        _arg("--budget", type=int, help="most monic first entries (p^d of them) to sieve (default 10^5)"))),
+    "jet": ("jet map and membership for exact rational tuples", _cmd_jet, False, (
+        _arg("--n", type=int, required=True, help="multiplicity bound"),
+        _arg("--input", help="file of tuples, one per line (default: stdin)"))),
+    "verify": ("run a verification suite", _cmd_verify, False, (
+        _arg("suite", nargs="?", default="all", help="a suite name, or all; an unknown name lists the suites"),)),
+    "cache": ("cache administration", _cmd_cache, False, (_arg("action", choices=["stats", "clear"]),)),
+}
+COMMANDS = tuple(_COMMANDS)
 
 
 def build_parser(argv=()) -> _Parser:
     """The parser; when ``argv`` starts with a command, it holds only that command's subparser."""
-    only = argv[0] if argv and argv[0] in COMMANDS else None
+    only = argv[0] if argv and argv[0] in _COMMANDS else None
     parser = _Parser(prog="polystab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"polystab {__version__}")
     # with one subparser, the usage line of an error past the command still names every command
     sub = parser.add_subparsers(dest="command", required=True, metavar=only and "{%s}" % ",".join(COMMANDS))
-
-    def add(name, help_text, func):
+    for name, (help_text, _, table, arguments) in _COMMANDS.items():
         if only in (None, name):
             p = sub.add_parser(name, help=help_text)
-            p.set_defaults(func=func)
-            return p
-
-    def common(p, k_max=True, ring=True):
-        p.add_argument("--json", action="store_true", help="emit one canonical JSON document")
-        p.add_argument("--cache-dir", help="homology cache directory (else POLYSTAB_CACHE, else platform default)")
-        if k_max:
-            p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX, help="largest supported summand index")
-        if ring:
-            p.add_argument("--ring", default="z", help="coefficients: z, q, or f<prime>")
-
-    if p := add("betti", "homology of the polynomial-tuple space", _cmd_table):
-        p.add_argument("--d", type=int, required=True)
-        p.add_argument("--m", type=int, required=True)
-        p.add_argument("--n", type=int, required=True)
-        common(p)
-
-    if p := add("hol-betti", "homology of the based rational-map space", _cmd_table):
-        p.add_argument("--d", type=int, required=True)
-        p.add_argument("--n", type=int, required=True, help="target projective space has n-1 complex dimensions")
-        common(p)
-
-    if p := add("e1", "first page of the discriminant spectral sequence", _cmd_e1):
-        p.add_argument("--flavor", choices=["poly", "hol"], required=True)
-        p.add_argument("--d", type=int, required=True)
-        p.add_argument("--m", type=int, help="poly flavor only")
-        p.add_argument("--n", type=int, required=True)
-        common(p)
-
-    if p := add("stable-series", "series of the limiting double loop space", _cmd_stable_series):
-        p.add_argument("--n", type=int, required=True, help="sphere parameter: the space is the double loops of S^(2n-1)")
-        p.add_argument("--through", type=int, required=True)
-        common(p)
-
-    if p := add("stability-dim", "stability dimension (2mn-3)(floor(d/n)+1)-1", _cmd_stability_dim):
-        p.add_argument("--d", type=int, required=True)
-        p.add_argument("--m", type=int, required=True)
-        p.add_argument("--n", type=int, required=True)
-        common(p, k_max=False, ring=False)
-
-    if p := add("count", "point counts over a prime field", _cmd_count):
-        p.add_argument("--d", type=int, required=True)
-        p.add_argument("--m", type=int, required=True)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--p", type=int, required=True)
-        p.add_argument("--mode", choices=["brute", "formula", "both"], default="both")
-        p.add_argument("--budget", type=int, help="most monic first entries (p^d of them) to sieve (default 10^5)")
-        common(p, k_max=False, ring=False)
-
-    if p := add("jet", "jet map and membership for exact rational tuples", _cmd_jet):
-        p.add_argument("--n", type=int, required=True, help="multiplicity bound")
-        p.add_argument("--input", help="file of tuples, one per line (default: stdin)")
-        common(p, k_max=False, ring=False)
-
-    if p := add("verify", "run a verification suite", _cmd_verify):
-        p.add_argument("suite", nargs="?", default="all", help="a suite name, or all; an unknown name lists the suites")
-        common(p, k_max=False, ring=False)
-
-    if p := add("cache", "cache administration", _cmd_cache):
-        p.add_argument("action", choices=["stats", "clear"])
-        common(p, k_max=False, ring=False)
-
+            for flags, kwargs in arguments + _COMMON + (_TABLE if table else ()):
+                p.add_argument(*flags, **kwargs)
     return parser
 
 
@@ -411,12 +341,18 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    _, handler, table, _ = _COMMANDS[args.command]
     try:
-        return args.func(args)
+        prelude = ()
+        if table:
+            from . import spaces
+            prelude = (spaces, parse_ring(args.ring))
+        payload, lines, *status = handler(args, *prelude)
+        _emit(args, payload, lines)
     except (ValueError, OSError, CellModelError) as exc:
         message = str(exc)
         print(f"polystab: error: {message}", file=sys.stderr)
-        if getattr(args, "json", False):
+        if args.json:
             doc = {
                 "schema_version": SCHEMA_VERSION,
                 "command": args.command,
@@ -424,6 +360,7 @@ def main(argv: list[str] | None = None) -> int:
             }
             sys.stdout.write(canonical_json(doc) + "\n")
         return 2 if isinstance(exc, CellModelError) else 1
+    return status[0] if status else 0
 
 
 if __name__ == "__main__":

@@ -597,6 +597,57 @@ def test_a_command_builds_only_its_subparser():
     assert list(sub.choices) == ["count"]
 
 
+HELP = (("-h", "--help"), "help", None, False, "==SUPPRESS==", None, 0)
+JSON = (("--json",), "json", None, False, False, None, 0)
+CACHE_DIR = (("--cache-dir",), "cache_dir", None, False, None, None, None)
+D, M, N = ((("--" + x,), x, int, True, None, None, None) for x in "dmn")
+TABLE_ARGS = ((("--k-max",), "k_max", int, False, 10, None, None), (("--ring",), "ring", None, False, "z", None, None))
+
+# each subparser's actions as (option strings, dest, type, required, default, choices, nargs), in order
+PARSER_ACTIONS = {
+    "betti": [HELP, D, M, N, JSON, CACHE_DIR, *TABLE_ARGS],
+    "hol-betti": [HELP, D, (("--n",), "n", int, True, None, None, None), JSON, CACHE_DIR, *TABLE_ARGS],
+    "e1": [HELP, (("--flavor",), "flavor", None, True, None, ["poly", "hol"], None), D,
+           (("--m",), "m", int, False, None, None, None), N, JSON, CACHE_DIR, *TABLE_ARGS],
+    "stable-series": [HELP, (("--n",), "n", int, True, None, None, None),
+                      (("--through",), "through", int, True, None, None, None), JSON, CACHE_DIR, *TABLE_ARGS],
+    "stability-dim": [HELP, D, M, N, JSON, CACHE_DIR],
+    "count": [HELP, D, M, N, (("--p",), "p", int, True, None, None, None),
+              (("--mode",), "mode", None, False, "both", ["brute", "formula", "both"], None),
+              (("--budget",), "budget", int, False, None, None, None), JSON, CACHE_DIR],
+    "jet": [HELP, (("--n",), "n", int, True, None, None, None), (("--input",), "input", None, False, None, None, None),
+            JSON, CACHE_DIR],
+    "verify": [HELP, ((), "suite", None, False, "all", None, "?"), JSON, CACHE_DIR],
+    "cache": [HELP, ((), "action", None, True, None, ["stats", "clear"], None), JSON, CACHE_DIR],
+}
+
+
+@pytest.mark.parametrize("name", PARSER_ACTIONS)
+def test_each_subparser_keeps_its_arguments(name):
+    assert list(PARSER_ACTIONS) == list(cli.COMMANDS)
+    sub = next(action for action in cli.build_parser([name])._actions if action.dest == "command")
+    actions = [
+        (tuple(a.option_strings), a.dest, a.type, a.required, a.default, a.choices, a.nargs)
+        for a in sub.choices[name]._actions
+    ]
+    assert actions == PARSER_ACTIONS[name]
+
+
+@pytest.mark.parametrize("extra", [(), ("--json",)])
+def test_a_failed_write_exits_one_with_the_error(tmp_path, capsys, monkeypatch, extra):
+    def disk_full(*_args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "_emit", disk_full)
+    code, out, err = run(capsys, "betti", "--d", "2", "--m", "2", "--n", "2", "--cache-dir", str(tmp_path), *extra)
+    assert code == 1
+    assert err == "polystab: error: disk full\n"
+    if extra:
+        assert json.loads(out) == {"schema_version": 1, "command": "betti", "error": {"message": "disk full"}}
+    else:
+        assert out == ""
+
+
 # each export's home module, as the package imported them eagerly
 EXPORT_HOMES = {
     "abelian": "AbelianGroup GradedAbelianGroup invariant_factors",
