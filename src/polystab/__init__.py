@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "abelian": "AbelianGroup GradedAbelianGroup invariant_factors",
     "braid": "SIGN TRIVIAL CellModelError config_homology dk_homology shuffle_sum",
-    "cache": "BraidHomologyKey HomologyCache default_cache_dir",
+    "cache": "HomologyCache default_cache_dir",
     "complexes": "",
     "ffield": "closed_form_count count_points",
     "jets": "JetEquivalenceReport QTuple jet_equivalence_check jet_map q_membership_hol q_membership_poly",

@@ -73,13 +73,18 @@ def _resolve_cache(args, ring=None) -> HomologyCache | None:
     return HomologyCache(Path(args.cache_dir) if args.cache_dir else default_cache_dir())
 
 
+def _group_text(group, ring) -> str:
+    """A group as text; over a field it is a vector space (no torsion), printed F2^2, Q and so on."""
+    return str(group).replace("Z", ring.label) if ring.is_field else str(group)
+
+
 def _table_lines(header: str, table: spaces.HomologyTable) -> list[str]:
     lines = [header]
     groups = table.groups
     if groups.is_zero:
         lines.append("  trivial")
     for deg in groups.degrees():
-        lines.append(f"  H_{deg} = {groups.group(deg)}")
+        lines.append(f"  H_{deg} = {_group_text(groups.group(deg), table.ring)}")
     lines.append("  exact: complete")
     for note in table.notes:
         lines.append(f"  note: {note}")
@@ -113,15 +118,12 @@ def _cmd_e1(args, spaces, ring) -> tuple:
             raise ValueError("--flavor hol takes no --m")
         page = spaces.e1_page_hol(args.d, args.n, ring, k_max=args.k_max, cache=cache)
         params = {"flavor": "hol", "d": args.d, "n": args.n, "ring": ring.label}
-    entries = [
-        {"k": k, "s": s, "group": [page.entry(k, s).free_rank, list(page.entry(k, s).torsion)]}
-        for k, s in page.nonzero_cells()
-    ]
+    cells = [(k, s, page.entry(k, s)) for k, s in page.nonzero_cells()]
+    entries = [{"k": k, "s": s, "group": [group.free_rank, list(group.torsion)]} for k, s, group in cells]
     result = {"entries": entries, "columns": page.k_top, "twist": page.twist}
     payload = _report(args, params, result, "complete", ("first page of the discriminant filtration",))
     lines = [f"first page ({args.flavor}), columns 0..{page.k_top}, twist {page.twist}"]
-    for cell in entries:
-        lines.append(f"  E1[{cell['k']},{cell['s']}] = {page.entry(cell['k'], cell['s'])}")
+    lines += [f"  E1[{k},{s}] = {_group_text(group, ring)}" for k, s, group in cells]
     return payload, lines
 
 

@@ -4,10 +4,10 @@ The based rational-map space Hol_d(S^2, CP^{N-1}) splits stably into the
 summands D_k, k = 1..d, the k-th shifted up by 2(N-2)k.  The space of
 m-tuples of monic degree-d polynomials with no common root of multiplicity
 >= n is, in homology, the rational-map space at (floor(d/n), mn), so its
-table and first page are the rational-map ones reparametrised.  Everything
-here is bookkeeping over :func:`polystab.braid.config_homology`, plus the
-first-page tables and the Poincare series of the limiting double loop space;
-and this is the one layer that reads and writes the integral cache.
+table and first page are the rational-map ones reparametrised, and so is the
+series of the limiting double loop space.  Everything here is bookkeeping over
+:func:`polystab.braid.config_homology`, reached through :func:`_summands`
+alone, the one code that reads and writes the integral cache.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 from .rings import DEFAULT_K_MAX, SIGN, Ring, Value, Z
 
 MN2_NOTE = "mn=2: identification with the limit space is stable/homology-level only"
+# no code here calls dk_homology, but perfbench/tracer.py wraps spaces.dk_homology: it stays an engine name
 _ENGINE = ("AbelianGroup", "GradedAbelianGroup", "config_homology", "dk_homology")
 
 
@@ -82,9 +83,11 @@ class PoincareSeries(Value):
         return self.coefficients[degree]
 
 
-def _check_summands(d: int, N: int, k_max: int, reach: str) -> None:
-    """Bind the group types, then refuse k_max < 0 (0 admits the point alone), N < 2, d < 0 and d > k_max;
-    ``reach`` words the last refusal."""
+def _summands(d: int, N: int, ring: Ring, k_max: int, cache: HomologyCache | None) -> list[GradedAbelianGroup]:
+    """H_*(C_k; sign x ring) for k = 1..d, after refusing k_max < 0 (0 admits the point alone), N < 2,
+    d < 0 and d > k_max.  Field tables, and all tables without a cache, are computed.  Over Z each table
+    is read from the cache, the engine is bound only if one is missing, and each missing one is put.
+    """
     _load_engine(groups_only=True)
     if k_max < 0:
         raise ValueError(f"the summand bound k_max={k_max} is negative: it must be at least 0")
@@ -93,25 +96,16 @@ def _check_summands(d: int, N: int, k_max: int, reach: str) -> None:
     if d < 0:
         raise ValueError("degree must be nonnegative")
     if d > k_max:
-        raise ValueError(f"{reach} k={d}, beyond the configured bound {k_max}")
-
-
-def _sign_tables(d: int, ring: Ring, cache: HomologyCache | None) -> list[GradedAbelianGroup]:
-    """H_*(C_k; sign x ring) for k = 1..d: the only code that reads or writes integral tables.
-
-    Field tables, and all tables without a cache, are computed.  Over Z each table is read from the
-    cache, the engine is bound only if one is missing, and each missing table is computed and put.
-    """
+        raise ValueError(f"needs summands up to k={d}, beyond the configured bound {k_max}")
     if cache is None or ring != Z:
         _load_engine()
         return [config_homology(k, SIGN, ring) for k in range(1, d + 1)]
-    from .cache import BraidHomologyKey
-    tables = [cache.get(BraidHomologyKey(k, SIGN)) for k in range(1, d + 1)]
+    tables = [cache.get(k) for k in range(1, d + 1)]
     for k, table in enumerate(tables, 1):
         if table is None:
             _load_engine()
             tables[k - 1] = table = config_homology(k, SIGN, Z)
-            cache.put(BraidHomologyKey(k, SIGN), table)
+            cache.put(k, table)
     return tables
 
 
@@ -149,8 +143,8 @@ def hol_homology(d: int, N: int, ring: Ring = Z, *, k_max: int = DEFAULT_K_MAX,
     up by 2(N-2)k.  Summand k contributes nothing below degree (2N-3)k, which
     makes the finite sum complete in every degree.
     """
-    _check_summands(d, N, k_max, "needs summands up to")
-    summands = (table.shift((2 * N - 3) * k) for k, table in enumerate(_sign_tables(d, ring, cache), 1))
+    tables = _summands(d, N, ring, k_max, cache)  # binds the group types first
+    summands = (table.shift((2 * N - 3) * k) for k, table in enumerate(tables, 1))
     return HomologyTable(GradedAbelianGroup({0: AbelianGroup(1)}).direct_sum(*summands), ring)
 
 
@@ -194,48 +188,26 @@ def e1_page_hol(d: int, N: int, ring: Ring = Z, *, k_max: int = DEFAULT_K_MAX,
                 cache: HomologyCache | None = None) -> E1Page:
     """First page for the rational-map space: columns 1..d, twist 2(N-1),
     entry (k, s) the sign-twisted homology of C_k in degree s - 2(N-1)k."""
-    _check_summands(d, N, k_max, "first-page columns run to")
     twist = 2 * (N - 1)
-    entries: dict[tuple[int, int], AbelianGroup] = {(0, 0): AbelianGroup(1)}
-    for k, column in enumerate(_sign_tables(d, ring, cache), 1):
-        for i in column.degrees():
-            entries[(k, twist * k + i)] = column.group(i)
-    return E1Page(ring, d, twist, entries)
+    columns = enumerate(_summands(d, N, ring, k_max, cache), 1)  # binds the group types first
+    entries = {(k, twist * k + i): column.group(i) for k, column in columns for i in column.degrees()}
+    return E1Page(ring, d, twist, {(0, 0): AbelianGroup(1), **entries})
 
 
 def omega_series(N: int, ring: Ring, through: int, *, k_max: int = DEFAULT_K_MAX) -> PoincareSeries:
     """Poincare series of the double loop space of S^{2N-1} through ``through``.
 
-    Degree j collects dim of the shifted summand D_k over all k >= 0; summand
-    k starts in degree (2N-3)k, so the request is exact precisely when every
-    k <= through/(2N-3) is inside ``k_max``, the request's summand bound;
-    larger requests and a negative bound are refused, not silently truncated.  Each
-    summand's table is whole, and this is where the series is cut: degrees
-    above ``through`` are dropped.  The ring must be a field, whose tables are
-    computed and never cached, so the series takes no cache.
+    The limit is the union of the summands D_k, k >= 0, shifted as in the
+    rational-map space, and summand k starts in degree (2N-3)k: through degree
+    T it is the degree-T // (2N-3) rational-map table, whose summand bound
+    ``k_max`` refuses a larger request rather than truncate it.  The ring must
+    be a field, whose tables are never cached, so the series takes no cache.
     """
-    _load_engine()
     if N < 2:
         raise ValueError("need N >= 2")
     if not ring.is_field:
         raise ValueError("series dimensions need field coefficients (Q or F_p)")
     if through < 0:
         raise ValueError("through must be nonnegative")
-    if k_max < 0:
-        raise ValueError(f"the summand bound k_max={k_max} is negative: it must be at least 0")
-    bound = (2 * N - 3) * (k_max + 1) - 1
-    if through > bound:
-        raise ValueError(
-            f"through={through} exceeds the exactness bound {bound} for k_max={k_max}; "
-            f"raise k_max to at least {through // (2 * N - 3)}"
-        )
-    coeffs = [0] * (through + 1)
-    coeffs[0] = 1
-    shift = 2 * (N - 2)
-    for k in range(1, through // (2 * N - 3) + 1):
-        part = dk_homology(k, ring)
-        for q in part.degrees():
-            j = q + shift * k
-            if j <= through:
-                coeffs[j] += part.free_rank(q)
-    return PoincareSeries(tuple(coeffs), through)
+    table = hol_homology(through // (2 * N - 3), N, ring, k_max=k_max)
+    return PoincareSeries(tuple(table.dims(through)), through)

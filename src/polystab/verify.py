@@ -33,7 +33,6 @@ class CheckResult(Value):
             "name": self.name,
             "passed": self.passed,
             "detail": self.detail,
-            "seconds": round(self.seconds, 4),
         }
 
 

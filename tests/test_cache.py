@@ -1,12 +1,13 @@
 import json
 import os
 import tempfile
+import warnings
 
 import pytest
 
 from polystab import braid
 from polystab.abelian import AbelianGroup, GradedAbelianGroup
-from polystab.cache import CACHE_FORMAT, CACHE_VERSION, BraidHomologyKey, HomologyCache, default_cache_dir
+from polystab.cache import CACHE_FORMAT, CACHE_VERSION, HomologyCache, default_cache_dir
 from polystab.spaces import e1_page_hol, hol_homology
 
 
@@ -16,8 +17,8 @@ def cache(tmp_path):
 
 
 SAMPLE = GradedAbelianGroup({0: AbelianGroup(1), 3: AbelianGroup(1, (2, 6))})
-KEY = BraidHomologyKey(4, "sign")
-K5 = BraidHomologyKey(5, "trivial")
+KEY = 4  # entries are keyed by k alone: each holds the sign table of C_k
+K5 = 5
 
 
 def reader(cache):
@@ -37,7 +38,8 @@ def test_file_starts_with_format_version_and_key(cache):
     head = list(doc)[:4]
     assert head == ["format", "version", "k", "system"]
     assert doc["version"] == CACHE_VERSION
-    assert (doc["k"], doc["system"]) == (KEY.k, KEY.system)
+    assert (doc["k"], doc["system"]) == (KEY, "sign")
+    assert cache.path_for(KEY).name == "braid_v1_k4_sign.json"
 
 
 def test_miss_on_empty(cache):
@@ -88,7 +90,7 @@ def test_impossible_table_warns_and_misses(cache, key, table, reason):
 
 
 def _entry(homology):
-    return {"format": CACHE_FORMAT, "version": CACHE_VERSION, "k": KEY.k, "system": KEY.system, "homology": homology}
+    return {"format": CACHE_FORMAT, "version": CACHE_VERSION, "k": KEY, "system": "sign", "homology": homology}
 
 
 DEEP = "[" * 100000  # nested past the JSON parser's recursion limit
@@ -115,8 +117,8 @@ def test_malformed_entry_warns_misses_and_is_recomputed(cache, body):
     with pytest.warns(UserWarning, match="corrupted"):
         assert reader(cache).get(KEY) is None
     with pytest.warns(UserWarning, match="corrupted"):
-        assert hol_homology(KEY.k, 2, cache=reader(cache)) == hol_homology(KEY.k, 2)
-    assert reader(cache).get(KEY) == braid.config_homology(KEY.k, KEY.system)  # rewritten
+        assert hol_homology(KEY, 2, cache=reader(cache)) == hol_homology(KEY, 2)
+    assert reader(cache).get(KEY) == braid.config_homology(KEY, braid.SIGN)  # rewritten
 
 
 def test_possible_torsion_is_served(cache):
@@ -134,7 +136,7 @@ def test_put_leaves_no_temporaries(cache):
 def test_stats_and_clear(cache):
     assert cache.stats()["entries"] == 0
     cache.put(KEY, SAMPLE)
-    cache.put(BraidHomologyKey(2, "trivial"), SAMPLE)
+    cache.put(2, SAMPLE)
     stats = cache.stats()
     assert stats["entries"] == 2
     assert stats["bytes"] > 0
@@ -153,16 +155,9 @@ def test_clear_removes_the_temp_files_of_killed_puts(cache):
     assert [p.name for p in cache.directory.iterdir()] == ["notes.tmp"]
 
 
-def test_key_validation():
-    with pytest.raises(ValueError):
-        BraidHomologyKey(0, "sign")
-    with pytest.raises(ValueError):
-        BraidHomologyKey(2, "weird")
-
-
 def test_config_homology_persists_and_reloads(cache):
     hol_homology(5, 2, cache=cache)
-    key = BraidHomologyKey(5, "sign")
+    key = 5
     assert reader(cache).get(key) == braid.config_homology(5, braid.SIGN)
     # a fresh instance must take the answer from disk, not recompute it
     sentinel = GradedAbelianGroup({1: AbelianGroup(7), 2: AbelianGroup(7, (5,))})
@@ -173,12 +168,39 @@ def test_config_homology_persists_and_reloads(cache):
 
 def test_corrupt_cache_recomputes(cache):
     value = hol_homology(4, 2, cache=cache)
-    path = cache.path_for(BraidHomologyKey(4, "sign"))
+    path = cache.path_for(4)
     path.write_text("garbage")
     with pytest.warns(UserWarning):
         again = hol_homology(4, 2, cache=reader(cache))
     assert again == value
-    assert reader(cache).get(BraidHomologyKey(4, "sign")) == braid.config_homology(4, braid.SIGN)  # rewritten
+    assert reader(cache).get(4) == braid.config_homology(4, braid.SIGN)  # rewritten
+
+
+# H_*(C_4; sign) byte for byte as the format has always written it: one JSON line with spaced separators
+K4_ENTRY = (b'{"format": "polystab-braid-homology", "version": 1, "k": 4, "system": "sign", '
+            b'"homology": {"0": [0, [2]], "1": [0, [3]], "2": [0, [2]]}}')
+
+
+def test_an_entry_in_the_standing_format_is_served_without_a_warning(cache, tmp_path):
+    cache.directory.mkdir(parents=True)
+    (cache.directory / "braid_v1_k4_sign.json").write_bytes(K4_ENTRY)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = cache.get(4)
+    assert table == braid.config_homology(4, braid.SIGN)
+    written = HomologyCache(tmp_path / "fresh")
+    written.put(4, table)
+    assert written.path_for(4).read_bytes() == K4_ENTRY
+
+
+def test_an_entry_for_the_trivial_system_is_a_key_mismatch_and_recomputed(cache):
+    cache.directory.mkdir(parents=True)
+    cache.path_for(4).write_bytes(K4_ENTRY.replace(b'"sign"', b'"trivial"'))
+    with pytest.warns(UserWarning, match="corrupted.*key mismatch"):
+        assert reader(cache).get(4) is None
+    with pytest.warns(UserWarning, match="corrupted.*key mismatch"):
+        assert hol_homology(4, 2, cache=reader(cache)) == hol_homology(4, 2)
+    assert cache.path_for(4).read_bytes() == K4_ENTRY  # rewritten
 
 
 def test_default_cache_dir_env(monkeypatch, tmp_path):

@@ -4,6 +4,7 @@ import json
 import marshal
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -80,6 +81,15 @@ def test_hol_betti(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["result"]["homology"] == {"0": [1, []], "3": [1, []]}
+
+
+def test_field_tables_print_vector_spaces(capsys):
+    code, out, _ = run(capsys, "hol-betti", "--d", "3", "--n", "2", "--ring", "f2")
+    assert code == 0
+    assert "  H_0 = F2\n" in out and "  H_3 = F2^2\n" in out and "Z" not in out
+    code, out, _ = run(capsys, "e1", "--flavor", "hol", "--d", "2", "--n", "2", "--ring", "q")
+    assert code == 0
+    assert out.splitlines()[1:] == ["  E1[0,0] = Q", "  E1[1,2] = Q"]
 
 
 def test_count_both_modes(capsys):
@@ -409,6 +419,15 @@ def test_verify_json_report(tmp_path, capsys):
     assert doc["result"]["suites"][0]["checks"][0]["passed"] is True
 
 
+def test_verify_json_is_byte_stable_and_the_text_keeps_the_timing(tmp_path, capsys):
+    argv = ("verify", "spheres", "--json", "--cache-dir", str(tmp_path))
+    first, second = run(capsys, *argv), run(capsys, *argv)  # the first fills the cache, the second reads it
+    assert first == second and first[0] == 0
+    assert "seconds" not in first[1]
+    code, out, _ = run(capsys, *argv[:2], *argv[3:])
+    assert code == 0 and re.match(r"PASS spheres\.\S+ \(\d+\.\d\ds\) ", out)
+
+
 def test_cache_stats_and_clear(tmp_path, capsys):
     cache_dir = tmp_path / "store"
     code, _, _ = run(capsys, "betti", "--d", "4", "--m", "1", "--n", "2", "--cache-dir", str(cache_dir))
@@ -491,6 +510,18 @@ def test_a_negative_summand_bound_exits_one_and_zero_admits_the_point(tmp_path, 
     assert "  H_0 = Z\n  exact: complete\n" in out
 
 
+@pytest.mark.parametrize("argv, k", [
+    (("betti", "--d", "9", "--m", "1", "--n", "2", "--k-max", "3"), 4),
+    (("e1", "--flavor", "hol", "--d", "5", "--n", "2", "--k-max", "4"), 5),
+    (("stable-series", "--n", "2", "--through", "12", "--ring", "f2", "--k-max", "10"), 12),
+], ids=["betti", "e1", "stable-series"])
+def test_a_request_past_the_summand_bound_exits_one_with_the_shared_refusal(tmp_path, capsys, argv, k):
+    code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
+    bound = argv[-1]
+    assert (code, out) == (1, "")
+    assert err == f"polystab: error: needs summands up to k={k}, beyond the configured bound {bound}\n"
+
+
 def test_ring_past_primality_bound_exits_one(capsys):
     code, _, err = run(capsys, "betti", "--d", "2", "--m", "2", "--n", "2", "--ring", f"f{2**89 - 1}")
     assert code == 1
@@ -506,7 +537,7 @@ def test_benchmark_tracer_binds_package_layers(tmp_path):
         (("e1", "--flavor", "poly", "--d", "6", "--m", "1", "--n", "2", "--ring", "f2"), None,
          {"spaces.e1_page_poly", "braid.config_homology"}),
         (("stable-series", "--n", "2", "--through", "8", "--ring", "q"), None,
-         {"spaces.omega_series", "braid.dk_homology"}),
+         {"spaces.omega_series", "spaces.hol_homology", "braid.config_homology"}),
     ]
     for argv, stdin, spans in cases:
         spans_file = tmp_path / "spans"
@@ -652,7 +683,7 @@ def test_a_failed_write_exits_one_with_the_error(tmp_path, capsys, monkeypatch, 
 EXPORT_HOMES = {
     "abelian": "AbelianGroup GradedAbelianGroup invariant_factors",
     "braid": "SIGN TRIVIAL CellModelError config_homology dk_homology shuffle_sum",
-    "cache": "BraidHomologyKey HomologyCache default_cache_dir",
+    "cache": "HomologyCache default_cache_dir",
     "complexes": "",
     "ffield": "closed_form_count count_points",
     "jets": "JetEquivalenceReport QTuple jet_equivalence_check jet_map q_membership_hol q_membership_poly",

@@ -3,7 +3,6 @@ import pickle
 import pytest
 
 from polystab.abelian import AbelianGroup, GradedAbelianGroup
-from polystab.cache import BraidHomologyKey
 from polystab.complexes import SmithForm
 from polystab.ffield import FpTuple
 from polystab.jets import JetEquivalenceReport, QTuple
@@ -60,7 +59,6 @@ def test_is_prime_refuses_past_the_exact_bound():
 VALUES = [
     (lambda: Ring("F3", 3), {"label": "GF3"}, "Ring(label='F3', p=3)"),
     (lambda: AbelianGroup(2, (3,)), {"free_rank": 0}, "AbelianGroup(free_rank=2, torsion=(3,))"),
-    (lambda: BraidHomologyKey(4, "sign"), {"k": 5}, "BraidHomologyKey(k=4, system='sign')"),
     (lambda: SmithForm((1, 2), 2), {"invariant_factors": (1, 4)}, "SmithForm(invariant_factors=(1, 2), rank=2)"),
     (lambda: Params(4, 1, 2), {"d": 5}, "Params(d=4, m=1, n=2)"),
     (lambda: HomologyTable(GradedAbelianGroup({0: (1, ())}), Q), {"notes": ("a note",)},
@@ -106,7 +104,7 @@ def test_values_behave_as_frozen_records(make, change, shown):
 def test_values_keep_their_defaults_and_refuse_bad_fields():
     assert AbelianGroup() == AbelianGroup(0, ()) == AbelianGroup(torsion=())
     assert Ring("Z") == Ring("Z", None) == Ring(label="Z", p=None)
-    assert AbelianGroup(1) != (1, ()) and Params(4, 1, 2) != BraidHomologyKey(4, "sign")
+    assert AbelianGroup(1) != (1, ()) and Params(4, 1, 2) != JetEquivalenceReport(4, 1, 2)
     for args, kwargs in [((), {}), ((1, 2, 3), {}), (("Z",), {"label": "Q"}), (("Z",), {"prime": 2})]:
         with pytest.raises(TypeError, match="Ring takes each of the fields label, p once"):
             Ring(*args, **kwargs)
@@ -118,7 +116,6 @@ def test_values_keep_their_defaults_and_refuse_bad_fields():
     (lambda: AbelianGroup(0, (4, 2)), "divisibility order"),
     (lambda: AbelianGroup(-1), "nonnegative"),
     (lambda: Params(1, 1, 1), r"\(m, n\) = \(1, 1\) is excluded"),
-    (lambda: BraidHomologyKey(0, "sign"), "at least 1"),
     (lambda: SmithForm((2, 3), 2), "divisibility chain"),
     (lambda: PoincareSeries((1, 2), 2), "one coefficient per degree"),
     (lambda: Params(2, 1, 2).replace(d=0), "must all be positive"),

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from polystab import abelian
+from polystab import abelian, braid, spaces
 from polystab.abelian import AbelianGroup, GradedAbelianGroup
 from polystab.braid import SIGN, TRIVIAL, config_homology, dk_homology
 from polystab.cache import HomologyCache
@@ -175,6 +175,41 @@ def test_omega_series_guards():
     with pytest.raises(ValueError):
         omega_series(2, Q, 11)  # beyond the k_max=10 exactness bound
     assert omega_series(2, Q, 11, k_max=11) is not None
+
+
+@pytest.mark.parametrize("ring, p", [(GF(2), 2), (GF(3), 3), (Q, 0)], ids=["F2", "F3", "Q"])
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_omega_series_is_the_rational_map_table_read_through_its_degree(N, ring, p):
+    limit = [sum(column) for column in zip(*loop_space_series(N, p, 15))]
+    for through in range(16):
+        table = hol_homology(through // (2 * N - 3), N, ring, k_max=15)
+        series = omega_series(N, ring, through, k_max=15).coefficients
+        assert list(series) == table.dims(through) == limit[:through + 1], through
+
+
+def test_omega_series_calls_no_summand_of_its_own(monkeypatch):
+    calls, original = [], braid.dk_homology
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spaces, "dk_homology", spy)  # the name the tracer wraps
+    monkeypatch.setattr(braid, "dk_homology", spy)
+    assert list(omega_series(2, GF(2), 7).coefficients) == [1, 1, 1, 2, 2, 2, 3, 4]
+    assert calls == []
+
+
+def test_every_summand_request_shares_one_refusal():
+    refused = (
+        (lambda: hol_homology(11, 2, GF(2)), 11, 10),
+        (lambda: e1_page_poly(22, 1, 2, Z), 11, 10),
+        (lambda: omega_series(2, Q, 11), 11, 10),
+        (lambda: omega_series(3, GF(2), 40, k_max=12), 13, 12),  # summand 13 starts in degree 39
+    )
+    for call, k, bound in refused:
+        with pytest.raises(ValueError, match=f"^needs summands up to k={k}, beyond the configured bound {bound}$"):
+            call()
 
 
 def test_a_negative_summand_bound_is_refused_and_zero_admits_the_point():
