@@ -8,8 +8,7 @@ partial entry.  Anything unreadable is treated as a miss (corrupt entries
 additionally warn) and gets recomputed; an entry that is not UTF-8, not JSON,
 nested too deep for the parser or not an object of integers, or whose k,
 system, degrees, Euler characteristic or torsion cannot belong to its file,
-counts as corrupt.  Each :class:`HomologyCache` also keeps in memory every
-table it wrote or read: a process reads each entry at most once.
+counts as corrupt.  Nothing is held in memory: every read validates its file.
 """
 
 from __future__ import annotations
@@ -56,18 +55,15 @@ def _check_table(k: int, table: GradedAbelianGroup) -> None:
 
 
 class HomologyCache:
-    """Directory-backed store of the integral sign tables by k, with a write-through memory front."""
+    """Directory of the integral sign tables by k; each ``get`` reads and checks its file."""
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
-        self._memory: dict[int, GradedAbelianGroup] = {}
 
     def path_for(self, k: int) -> Path:
         return self.directory / f"braid_v{CACHE_VERSION}_k{k}_{SIGN}.json"
 
     def get(self, k: int) -> GradedAbelianGroup | None:
-        if k in self._memory:
-            return self._memory[k]
         path = self.path_for(k)
         try:
             raw = path.read_bytes()
@@ -88,7 +84,6 @@ class HomologyCache:
         except (ValueError, KeyError, TypeError, RecursionError) as exc:  # RecursionError: JSON nested too deep
             warnings.warn(f"discarding corrupted cache entry {path}: {exc}")
             return None
-        self._memory[k] = value
         return value
 
     def put(self, k: int, value: GradedAbelianGroup) -> None:
@@ -113,7 +108,6 @@ class HomologyCache:
             except OSError:
                 pass
             raise
-        self._memory[k] = value
 
     def _entries(self, pattern: str = "braid_v*_k*_*.json") -> list[Path]:
         if not self.directory.is_dir():
@@ -129,7 +123,6 @@ class HomologyCache:
         }
 
     def clear(self) -> int:
-        self._memory.clear()
         removed = 0
         for path in self._entries() + self._entries("braid_v*_k*_*.json*.tmp"):  # + temp files of killed puts
             try:

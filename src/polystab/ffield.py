@@ -129,7 +129,7 @@ def count_points(d: int, m: int, n: int, p: int, budget: int = DEFAULT_ENUMERATI
     which is 0 for m = 1.
     """
     if d < 1 or m < 1 or n < 1:
-        raise ValueError("d, m, n must be positive")
+        raise ValueError("d, m, n must all be positive")
     if budget < 1:
         raise ValueError("budget must be positive")
     if not is_prime(p):
@@ -162,8 +162,10 @@ def closed_form_count(d: int, m: int, n: int, q: int) -> int:
     1/(1 - q^m t) = Z(t)/(1 - q t^n) for Z(t) = sum_d N(d) t^d, which gives
     Z(t) = (1 - q t^n)/(1 - q^m t) and the coefficients above.
     """
-    if d < 1 or m < 1 or n < 1 or q < 2:
-        raise ValueError("need d, m, n >= 1 and q >= 2")
+    if d < 1 or m < 1 or n < 1:
+        raise ValueError("d, m, n must all be positive")
+    if q < 2:
+        raise ValueError("need q >= 2")
     if d < n:
         return q ** (d * m)
     return q ** (d * m) - q ** (d * m - m * n + 1) if m * n > 1 else 0  # never q^d - q^d

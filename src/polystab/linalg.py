@@ -74,20 +74,6 @@ def rank_mod_p_rows(rows: list[list[tuple[int, int]]], p: int) -> set[int]:
 
 
 def rank_mod2_bitrows(bitrows: list[int]) -> int:
-    """Rank over F_2 of rows packed as integer bitmasks.
-
-    Pivots are keyed by their lowest set bit; a row is reduced only by the
-    pivots whose key is its current lowest bit.  No library code calls this:
-    :func:`eliminate` serves F_2 like every other modulus.  It stays defined
-    because the benchmark tracer (``perfbench/tracer.py``) wraps it by name.
-    """
-    pivots: dict[int, int] = {}
-    for row in bitrows:
-        while row:
-            low = row & -row
-            pivot = pivots.get(low)
-            if pivot is None:
-                pivots[low] = row
-                break
-            row ^= pivot
-    return len(pivots)
+    """Rank over F_2 of rows packed as integer bitmasks, bit j in column j, by :func:`eliminate`.
+    No library code calls this; it stays defined because ``perfbench/tracer.py`` wraps it by name."""
+    return len(eliminate([[(j, 1) for j in range(row.bit_length()) if row >> j & 1] for row in bitrows], 2))

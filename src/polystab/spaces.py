@@ -16,15 +16,13 @@ from .rings import DEFAULT_K_MAX, SIGN, Ring, Value, Z
 
 MN2_NOTE = "mn=2: identification with the limit space is stable/homology-level only"
 # no code here calls dk_homology, but perfbench/tracer.py wraps spaces.dk_homology: it stays an engine name
-_ENGINE = ("AbelianGroup", "GradedAbelianGroup", "config_homology", "dk_homology")
+_ENGINE = ("config_homology", "dk_homology")
 
 
-def _load_engine(groups_only: bool = False) -> None:
-    """Bind the group types here, then the engine's names once (a wrapper may replace them later)
-    unless ``groups_only``: a cached table needs only the groups, stability_dimension neither."""
-    global AbelianGroup, GradedAbelianGroup, config_homology, dk_homology
-    from .abelian import AbelianGroup, GradedAbelianGroup
-    if not groups_only and "dk_homology" not in globals():
+def _load_engine() -> None:
+    """Bind the engine's names here once (a wrapper may replace them later); a cached table needs none."""
+    global config_homology, dk_homology
+    if "dk_homology" not in globals():
         from .braid import config_homology, dk_homology
 
 
@@ -88,7 +86,6 @@ def _summands(d: int, N: int, ring: Ring, k_max: int, cache: HomologyCache | Non
     d < 0 and d > k_max.  Field tables, and all tables without a cache, are computed.  Over Z each table
     is read from the cache, the engine is bound only if one is missing, and each missing one is put.
     """
-    _load_engine(groups_only=True)
     if k_max < 0:
         raise ValueError(f"the summand bound k_max={k_max} is negative: it must be at least 0")
     if N < 2:
@@ -143,7 +140,8 @@ def hol_homology(d: int, N: int, ring: Ring = Z, *, k_max: int = DEFAULT_K_MAX,
     up by 2(N-2)k.  Summand k contributes nothing below degree (2N-3)k, which
     makes the finite sum complete in every degree.
     """
-    tables = _summands(d, N, ring, k_max, cache)  # binds the group types first
+    from .abelian import AbelianGroup, GradedAbelianGroup  # not at the top: stability-dim loads no group types
+    tables = _summands(d, N, ring, k_max, cache)
     summands = (table.shift((2 * N - 3) * k) for k, table in enumerate(tables, 1))
     return HomologyTable(GradedAbelianGroup({0: AbelianGroup(1)}).direct_sum(*summands), ring)
 
@@ -162,8 +160,8 @@ class E1Page(Value):
         return f"E1Page(ring={self.ring!r}, k_top={self.k_top!r}, twist={self.twist!r})"
 
     def entry(self, k: int, s: int) -> AbelianGroup:
-        _load_engine(groups_only=True)  # a page may come from another process, as a pickle
-        return self.entries.get((k, s), AbelianGroup())
+        from . import abelian
+        return self.entries.get((k, s), abelian.ZERO_GROUP)
 
     def nonzero_cells(self) -> list[tuple[int, int]]:
         return sorted(self.entries)
@@ -188,8 +186,9 @@ def e1_page_hol(d: int, N: int, ring: Ring = Z, *, k_max: int = DEFAULT_K_MAX,
                 cache: HomologyCache | None = None) -> E1Page:
     """First page for the rational-map space: columns 1..d, twist 2(N-1),
     entry (k, s) the sign-twisted homology of C_k in degree s - 2(N-1)k."""
+    from .abelian import AbelianGroup
     twist = 2 * (N - 1)
-    columns = enumerate(_summands(d, N, ring, k_max, cache), 1)  # binds the group types first
+    columns = enumerate(_summands(d, N, ring, k_max, cache), 1)
     entries = {(k, twist * k + i): column.group(i) for k, column in columns for i in column.degrees()}
     return E1Page(ring, d, twist, {(0, 0): AbelianGroup(1), **entries})
 

@@ -837,8 +837,8 @@ def test_memo_shares_results(tmp_path, monkeypatch):
     first = e1_page_hol(6, 2, Z, cache=cache)
     monkeypatch.setattr(spaces, "config_homology", None)  # the second request computes nothing
     second = e1_page_hol(6, 2, Z, cache=cache)
-    # the cache's memory front returns the identical tables, so the columns hold the identical groups
-    assert all(second.entries[cell] is group for cell, group in first.entries.items() if cell[0])
+    # the cache returns equal tables, so the columns hold equal groups
+    assert all(second.entries[cell] == group for cell, group in first.entries.items() if cell[0])
     assert first.entries.keys() == second.entries.keys()
 
 

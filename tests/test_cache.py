@@ -28,7 +28,7 @@ def reader(cache):
 
 def test_roundtrip_is_exact(cache):
     cache.put(KEY, SAMPLE)
-    assert cache.get(KEY) is SAMPLE
+    assert cache.get(KEY) == SAMPLE
     assert reader(cache).get(KEY) == SAMPLE
 
 
@@ -60,6 +60,14 @@ def test_corrupted_entry_warns_and_misses(cache):
     cache.path_for(KEY).write_text("{not json")
     with pytest.warns(UserWarning, match="corrupted"):
         assert reader(cache).get(KEY) is None
+
+
+def test_an_entry_broken_after_its_put_is_not_served_by_the_writer(cache):
+    # the instance that wrote the entry holds no copy of it: its next read checks the file
+    cache.put(KEY, SAMPLE)
+    cache.path_for(KEY).write_bytes(b"{not json")
+    with pytest.warns(UserWarning, match="corrupted"):
+        assert cache.get(KEY) is None
 
 
 def test_key_mismatch_warns_and_misses(cache):

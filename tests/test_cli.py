@@ -105,6 +105,14 @@ def test_count_refuses_a_non_prime_in_every_mode(capsys, mode):
     assert (code, out, err) == (1, "", "polystab: error: 4 is not prime\n")
 
 
+def test_a_nonpositive_d_has_one_wording_in_every_count_mode(capsys):
+    # the wording of Params, which stability-dim reaches
+    want = (1, "", "polystab: error: d, m, n must all be positive\n")
+    for mode in ("formula", "brute", "both"):
+        assert run(capsys, "count", "--d", "0", "--m", "1", "--n", "2", "--p", "2", "--mode", mode) == want, mode
+    assert run(capsys, "stability-dim", "--d", "0", "--m", "1", "--n", "2") == want
+
+
 def test_count_meets_the_pd_target():
     # 3^12 tuples; the counter sieves the 3^6 first entries
     started = time.perf_counter()

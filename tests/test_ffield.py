@@ -223,6 +223,15 @@ def test_count_budget_refusal():
             count_points(3, 2, 2, 3, budget=budget)
 
 
+def test_both_counts_refuse_a_bad_request_in_their_own_words():
+    for d, m, n in ((0, 1, 2), (2, 0, 2), (2, 1, -1)):
+        for count in (count_points, closed_form_count):
+            with pytest.raises(ValueError, match="^d, m, n must all be positive$"):
+                count(d, m, n, 2)
+    with pytest.raises(ValueError, match="^need q >= 2$"):
+        closed_form_count(2, 1, 2, 1)
+
+
 def test_count_budget_refuses_huge_degrees_unevaluated():
     # 3^(10^8) is never computed: 2^d > budget once d >= budget.bit_length()
     with pytest.raises(ValueError, match=r"enumeration of 3\^100000000 first entries exceeds the budget"):

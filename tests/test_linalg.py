@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from polystab import complexes
+from polystab import complexes, linalg
 from polystab.complexes import SmithForm, smith_normal_form
 from polystab.linalg import eliminate, rank_int_rows, rank_mod2_bitrows, rank_mod_p_rows
 
@@ -136,6 +136,20 @@ def test_mod2_bitset_path_matches_generic():
         sparse = IntMatrix.from_rows(entries, cols).sparse_rows()
         assert rank_mod_p_rows(sparse, 2) == _mod_p_pivot_oracle(entries, 2)
         assert rank_mod_p_rows(sparse, 3) == _mod_p_pivot_oracle(entries, 3)
+
+
+def test_mod2_bitrows_run_the_one_kernel(monkeypatch):
+    calls = []
+
+    def spy(rows, modulus):
+        calls.append(modulus)
+        return eliminate(rows, modulus)
+
+    monkeypatch.setattr(linalg, "eliminate", spy)
+    entries = [[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 0, 1], [3, 0, -1, 5]]
+    bits = [sum((v & 1) << j for j, v in enumerate(row)) for row in entries]
+    assert rank_mod2_bitrows(bits) == len(_mod_p_pivot_oracle(entries, 2)) == 2
+    assert calls == [2]
 
 
 def _random_sparse_rows(rng, cols, scale):
