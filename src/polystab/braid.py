@@ -60,8 +60,8 @@ The same stage undoes each move (the tests check that ``partner`` is an
 involution).  A critical cell is, per stage in order, one chain 1, base - 1,
 1, ... in units (at most one block for inf): one cell per class of the Tor of
 each one-letter algebra, and over a field the Tor of a tensor product is the
-product of the Tors (Eilenberg-Mac Lane, Ann. of Math. 58, 1953).  The rule
-is local, so a DFS over prefixes yields them; with crit_r of r parts,
+product of the Tors (Eilenberg-Mac Lane, Ann. of Math. 58, 1953).  So they
+are listed stage by stage as those chains; with crit_r of r parts,
 up_r = C(k-1, r-1) - crit_r - down_r pairs join r + 1 and r parts, down_1 = 0
 and down_(r+1) = up_r.
 
@@ -278,21 +278,22 @@ class _Matching:
         return None
 
     def _critical_cells(self) -> dict[int, list[tuple[int, ...]]]:
-        # blocks are powers of one stage's letter, stages never fall, and each block settles the one before
-        k = self.k
-        letters = [(a, t, a // u, u, b) for t, (u, b) in enumerate(self.stages) for a in range(u, min(u * b, k + 1), u)]
-        found, stack = {}, [((), 0, -1, 0, 0)]  # prefix, its sum, the last block's stage and its two last units
-        while stack:
-            prefix, total, last, e1, e0 = stack.pop()
-            if total == k:
-                found.setdefault(len(prefix), []).append(prefix)
-                continue
-            for a, t, e, u, b in letters:
-                if t < last or a > k - total or (k - total - a) % u:
-                    continue
-                if e == 1 if t > last else not (e > 1 and e1 != 1 or e1 == 1 and e + 1 < b
-                                                and not (e0 == 1 and e + 2 < b)):
-                    stack.append(((*prefix, a), total + a, t, e, e1 * (t == last)))
+        # stage by stage, each adds one chain u, u(b - 1), u, ... (the module docstring)
+        k, found, prefixes = self.k, {}, [((), self.k)]  # a prefix and what it leaves of k
+        units = [u for u, _ in self.stages[1:]] + [k + 1]  # k + 1 past the last stage: nothing goes on
+        for (u, b), unit in zip(self.stages, units):
+            grown = []
+            for prefix, left in prefixes:
+                a = u
+                while left:
+                    if left % unit == 0:  # the next stage's unit divides every later block
+                        grown.append((prefix, left))
+                    if a > left:
+                        break
+                    prefix, left, a = (*prefix, a), left - a, u * (b - 1) if a == u else u
+                else:
+                    found.setdefault(len(prefix), []).append(prefix)
+            prefixes = grown
         return found
 
 
@@ -376,8 +377,13 @@ def _morse_rows(matching: _Matching, neighbours, i: int) -> list[list[tuple[int,
                 return done.value
 
 
-def _homology(k: int, system: str, ring: Ring) -> GradedAbelianGroup:
-    """H_i(C_k; system x ring) in every degree 0..k-1, one degree at a time.
+def config_homology(k: int, system: str, ring: Ring = Z) -> GradedAbelianGroup:
+    """H_*(C_k(C); L x ring) for L the trivial or sign rank-one system, in every degree 0..k-1.
+
+    Any k >= 1 is computed: the engine has no summand bound (requests are bounded
+    where they enter, in :mod:`polystab.spaces` and the CLI); k < 1 and an unknown
+    system raise ValueError.  Every call computes its table afresh: the request
+    layer, :mod:`polystab.spaces`, reads and writes the integral cache.
 
     A ring is a list of moduli: Q is [0], F_p is [p], Z is [0] and every prime p <= k.  Each ranks d_i
     as its matching's pairs across degree i, and degree i has comb(k-1, i) - r_i - r_(i+1) free
@@ -388,6 +394,7 @@ def _homology(k: int, system: str, ring: Ring) -> GradedAbelianGroup:
     k!-sheeted cover F(C, k) -> C_k makes the system trivial, so by transfer (Arnold)
     H_*(C_k; L x Z[1/k!]) is a summand of the free H_*(F(C, k); Z[1/k!]).
     """
+    _check(k, system)
     moduli = [0, *(p for p in range(2, k + 1) if is_prime(p))] if ring == Z else [ring.p or 0]
     s = _merge_coefficients(k, system)
     first, *local = (_Matching(k, system, s, m) for m in moduli)
@@ -405,18 +412,6 @@ def _homology(k: int, system: str, ring: Ring) -> GradedAbelianGroup:
     return GradedAbelianGroup({
         i: AbelianGroup.from_orders(comb(k - 1, i) - rank[i] - rank[i + 1], torsion[i]) for i in range(k)
     })
-
-
-def config_homology(k: int, system: str, ring: Ring = Z) -> GradedAbelianGroup:
-    """H_*(C_k(C); L x ring) for L the trivial or sign rank-one system, in every degree 0..k-1.
-
-    Any k >= 1 is computed: the engine has no summand bound (requests are bounded
-    where they enter, in :mod:`polystab.spaces` and the CLI); k < 1 and an unknown
-    system raise ValueError.  Every call computes its table afresh: the request
-    layer, :mod:`polystab.spaces`, reads and writes the integral cache.
-    """
-    _check(k, system)
-    return _homology(k, system, ring)
 
 
 def dk_homology(k: int, ring: Ring = Z) -> GradedAbelianGroup:

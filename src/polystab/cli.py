@@ -225,6 +225,8 @@ def _format_qpoly(f: Poly) -> list[str]:
 
 def _cmd_jet(args) -> tuple:
     from . import jets
+    if args.n < 1:  # refused before any input, so an empty batch cannot echo it
+        raise ValueError("n must be positive")
     if args.input:
         text = Path(args.input).read_text(encoding="utf-8")
     else:

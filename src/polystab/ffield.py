@@ -138,8 +138,6 @@ def count_points(d: int, m: int, n: int, p: int, budget: int = DEFAULT_ENUMERATI
     if d >= budget.bit_length() or firsts > budget:  # the first gives p^d >= 2^d > budget
         raise ValueError(f"enumeration of {firsts} first entries exceeds the budget {budget}; "
                          f"raise the budget to at least {firsts}")
-    if n > d:
-        return p ** (d * m)  # no degree-d polynomial has a root of multiplicity > d
     # a marked entry keeps its completions: rest^d times 1 - rest^(-ne) for each pi
     # of degree e that marked it, exact in integers as those pi^n are coprime divisors
     rest, completions = p ** (m - 1), {}

@@ -117,16 +117,12 @@ class Ring(Value):
 Z = Ring("Z")
 Q = Ring("Q")
 
-_FIELD_CACHE: dict[int, Ring] = {}
-
 
 def GF(p: int) -> Ring:
     """The prime field with p elements."""
-    if p not in _FIELD_CACHE:
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        _FIELD_CACHE[p] = Ring(f"F{p}", p)
-    return _FIELD_CACHE[p]
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return Ring(f"F{p}", p)
 
 
 def parse_ring(text: str) -> Ring:

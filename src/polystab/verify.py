@@ -21,7 +21,6 @@ from itertools import combinations
 
 from . import braid, ffield, jets, spaces
 from .abelian import AbelianGroup, GradedAbelianGroup
-from .cache import HomologyCache
 from .rings import GF, Q, Value, Z, is_prime
 
 

@@ -464,17 +464,20 @@ def _critical_count_table(p, system, through):
 
 
 def test_critical_cells_number_the_closed_form_with_distinct_contents():
-    # one critical cell per class of F. Cohen's closed form, over Q and every F_p with p <= k, and
-    # no two critical cells share a content, so no Morse differential over a field survives
-    for k in range(1, 41):
+    # one critical cell per class of F. Cohen's closed form, over Q and every F_p with p <= k, each
+    # one the matching leaves unpaired, and no two critical cells share a content, so no Morse
+    # differential over a field survives
+    for k in range(1, 61):
         for system in (TRIVIAL, SIGN):
             s = braid._merge_coefficients(k, system)
             shift = k if system == SIGN else 0
             for p in (0, *(p for p in range(2, k + 1) if is_prime(p))):
                 matching = braid._Matching(k, system, s, p)
-                want = _critical_count_table(p, system, 40)[k][shift:shift + k]
+                want = _critical_count_table(p, system, 60)[k][shift:shift + k]
                 assert [len(matching.critical.get(k - i, ())) for i in range(k)] == want, (k, system, p)
-                contents = [sum(matching.code[a] for a in cell) for cells in matching.critical.values() for cell in cells]
+                cells = [cell for cells in matching.critical.values() for cell in cells]
+                assert all(matching.partner(cell) is None for cell in cells), (k, system, p)
+                contents = [sum(matching.code[a] for a in cell) for cell in cells]
                 assert len(set(contents)) == len(contents), (k, system, p)
 
 

@@ -238,6 +238,16 @@ def test_jet_zero_denominator_exits_one(capsys, monkeypatch):
     assert "'1/0'" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_jet_refuses_a_nonpositive_n_before_any_input(capsys, monkeypatch, n):
+    # an empty batch reads no tuple, so the bound is checked up front, in FpTuple's wording
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    assert run(capsys, "jet", "--n", n) == (1, "", "polystab: error: n must be positive\n")
+    code, out, err = run(capsys, "jet", "--n", n, "--json")
+    assert (code, err) == (1, "polystab: error: n must be positive\n")
+    assert json.loads(out) == {"command": "jet", "error": {"message": "n must be positive"}, "schema_version": 1}
+
+
 PARSE_CASES = ["7", "-0", "+3", " 12 ", "1_000", "2/4", "3/-4", "1/0", "0/0", "\u0661\u0662", "1e3", "0.5", "", "abc",
                "9" * 5000]
 
