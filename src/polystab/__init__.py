@@ -27,7 +27,7 @@ _EXPORTS = {
     "linalg": "",
     "poly": "Poly poly_gcd",
     "rings": "DEFAULT_K_MAX GF Q Ring Z parse_ring",
-    "spaces": "E1Page HomologyTable Params PoincareSeries e1_page_hol e1_page_poly hol_homology "
+    "spaces": "E1Page HomologyTable Params e1_page_hol e1_page_poly hol_homology "
     "omega_series poly_homology stability_dimension",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

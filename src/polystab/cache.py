@@ -32,8 +32,12 @@ def default_cache_dir() -> Path:
     if env:
         return Path(env)
     xdg = os.environ.get("XDG_CACHE_HOME")
-    base = Path(xdg) if xdg else Path.home() / ".cache"
-    return base / "polystab"
+    if xdg:
+        return Path(xdg) / "polystab"
+    try:
+        return Path.home() / ".cache" / "polystab"
+    except RuntimeError:  # no HOME, and no password entry for the uid
+        raise OSError(f"no home directory for the cache: pass --cache-dir or set {ENV_CACHE_DIR}") from None
 
 
 def _check_table(k: int, table: GradedAbelianGroup) -> None:

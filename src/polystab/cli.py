@@ -67,7 +67,7 @@ def _report(args, parameters: dict, result: dict, exactness, notes=()) -> dict:
 
 
 def _resolve_cache(args, ring=None) -> HomologyCache | None:
-    if ring is not None and ring.is_field:  # field tables are never cached
+    if ring is not None and ring.is_field:  # spaces caches no field table: None here keeps cache unimported
         return None
     from .cache import HomologyCache, default_cache_dir
     return HomologyCache(Path(args.cache_dir) if args.cache_dir else default_cache_dir())
@@ -81,8 +81,6 @@ def _group_text(group, ring) -> str:
 def _table_lines(header: str, table: spaces.HomologyTable) -> list[str]:
     lines = [header]
     groups = table.groups
-    if groups.is_zero:
-        lines.append("  trivial")
     for deg in groups.degrees():
         lines.append(f"  H_{deg} = {_group_text(groups.group(deg), table.ring)}")
     lines.append("  exact: complete")
@@ -130,12 +128,12 @@ def _cmd_e1(args, spaces, ring) -> tuple:
 def _cmd_stable_series(args, spaces, ring) -> tuple:
     series = spaces.omega_series(args.n, ring, args.through, k_max=args.k_max)
     params = {"n": args.n, "ring": ring.label, "through": args.through}
-    result = {"coefficients": list(series.coefficients)}
-    payload = _report(args, params, result, series.truncation, (f"double loop space of S^{2 * args.n - 1}",))
+    result = {"coefficients": list(series)}
+    payload = _report(args, params, result, args.through, (f"double loop space of S^{2 * args.n - 1}",))
     lines = [
         f"series of the double loop space of S^{2 * args.n - 1} over {ring}",
-        "  " + " ".join(str(c) for c in series.coefficients),
-        f"  exact through degree {series.truncation}",
+        "  " + " ".join(map(str, series)),
+        f"  exact through degree {args.through}",
     ]
     return payload, lines
 
@@ -206,17 +204,8 @@ def parse_tuple_line(line: str, n: int) -> jets.QTuple:
     blocks = [b for b in line.strip().split(";") if b.strip()]
     if not blocks:
         raise ValueError("empty tuple line")
-    polys = []
-    for block in blocks:
-        polys.append(_poly(0, [_parse_coefficient(c) for c in block.split(",")]))
-    degrees = {f.degree for f in polys}
-    if len(degrees) != 1:
-        raise ValueError(f"entries must share one degree, got {sorted(degrees)}")
-    d = degrees.pop()
-    for f in polys:
-        if not f.is_monic:
-            raise ValueError("entries must be monic")
-    return jets.QTuple(tuple(polys), d, len(polys), n)
+    polys = tuple(_poly(0, [_parse_coefficient(c) for c in block.split(",")]) for block in blocks)
+    return jets.QTuple(polys, polys[0].degree, len(polys), n)  # QTuple refuses an entry not monic of that degree
 
 
 def _format_qpoly(f: Poly) -> list[str]:
@@ -229,6 +218,8 @@ def _cmd_jet(args) -> tuple:
         raise ValueError("n must be positive")
     if args.input:
         text = Path(args.input).read_text(encoding="utf-8")
+    elif sys.stdin is None:
+        raise OSError("standard input is closed: pass --input")
     else:
         text = sys.stdin.read()
     results = []
@@ -362,7 +353,10 @@ def main(argv: list[str] | None = None) -> int:
                 "command": args.command,
                 "error": {"message": message},
             }
-            sys.stdout.write(canonical_json(doc) + "\n")
+            try:
+                sys.stdout.write(canonical_json(doc) + "\n")
+            except OSError:  # the stdout that failed the answer fails this too; stderr has the error
+                pass
         return 2 if isinstance(exc, CellModelError) else 1
     return status[0] if status else 0
 

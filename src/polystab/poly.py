@@ -74,10 +74,6 @@ class Poly:
         p = self._modulus(other)
         return _poly(p, [a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
-    def __sub__(self, other: "Poly") -> "Poly":
-        p = self._modulus(other)
-        return _poly(p, [a - b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
-
     def __mul__(self, other: "Poly") -> "Poly":
         p = self._modulus(other)
         if self.is_zero or other.is_zero:

@@ -9,7 +9,9 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # below it, Miller-Rabin with those bases decides primality exactly.
 MILLER_RABIN_BOUND = 3317044064679887385961981
 
-TRIVIAL, SIGN = "trivial", "sign"  # the coefficient systems, here so spaces keys a cached table without the engine
+# The coefficient systems.  The cache keys its files by k alone; the names live here so that spaces and
+# cache can name the sign system without loading the engine.
+TRIVIAL, SIGN = "trivial", "sign"
 DEFAULT_K_MAX = 10  # the default bound on a request's summands, checked by spaces and the CLI; the engine has none
 
 

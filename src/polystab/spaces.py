@@ -6,8 +6,9 @@ m-tuples of monic degree-d polynomials with no common root of multiplicity
 >= n is, in homology, the rational-map space at (floor(d/n), mn), so its
 table and first page are the rational-map ones reparametrised, and so is the
 series of the limiting double loop space.  Everything here is bookkeeping over
-:func:`polystab.braid.config_homology`, reached through :func:`_summands`
-alone, the one code that reads and writes the integral cache.
+:func:`polystab.braid.config_homology`, which :func:`_summands` alone calls:
+it reads and writes the integral cache, and imports the engine only for a
+table it must compute.
 """
 
 from __future__ import annotations
@@ -15,22 +16,13 @@ from __future__ import annotations
 from .rings import DEFAULT_K_MAX, SIGN, Ring, Value, Z
 
 MN2_NOTE = "mn=2: identification with the limit space is stable/homology-level only"
-# no code here calls dk_homology, but perfbench/tracer.py wraps spaces.dk_homology: it stays an engine name
-_ENGINE = ("config_homology", "dk_homology")
 
 
-def _load_engine() -> None:
-    """Bind the engine's names here once (a wrapper may replace them later); a cached table needs none."""
-    global config_homology, dk_homology
-    if "dk_homology" not in globals():
-        from .braid import config_homology, dk_homology
-
-
-def __getattr__(name: str):  # PEP 562: reading an engine name from outside binds the engine first
-    if name not in _ENGINE:
+def __getattr__(name: str):  # PEP 562: exists for perfbench/tracer.py, which wraps these engine names here
+    if name not in ("config_homology", "dk_homology"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load_engine()
-    return globals()[name]
+    from . import braid
+    return getattr(braid, name)
 
 
 class Params(Value):
@@ -64,27 +56,10 @@ class HomologyTable(Value):
         return self.groups.dims(through)
 
 
-class PoincareSeries(Value):
-    """Coefficients of a homology Poincare series, exact through ``truncation``."""
-
-    __slots__ = ("coefficients", "truncation")
-
-    def __post_init__(self) -> None:
-        if len(self.coefficients) != self.truncation + 1:
-            raise ValueError("need one coefficient per degree 0..truncation")
-        if any(c < 0 for c in self.coefficients):
-            raise ValueError("series coefficients are dimensions, hence nonnegative")
-
-    def __getitem__(self, degree: int) -> int:
-        if not 0 <= degree <= self.truncation:
-            raise IndexError(f"degree {degree} outside exact range 0..{self.truncation}")
-        return self.coefficients[degree]
-
-
 def _summands(d: int, N: int, ring: Ring, k_max: int, cache: HomologyCache | None) -> list[GradedAbelianGroup]:
     """H_*(C_k; sign x ring) for k = 1..d, after refusing k_max < 0 (0 admits the point alone), N < 2,
-    d < 0 and d > k_max.  Field tables, and all tables without a cache, are computed.  Over Z each table
-    is read from the cache, the engine is bound only if one is missing, and each missing one is put.
+    d < 0 and d > k_max.  Only Z tables are cached: with a cache, each integral table is read from it, and
+    one that is missing is computed and put.  Every other table is computed.
     """
     if k_max < 0:
         raise ValueError(f"the summand bound k_max={k_max} is negative: it must be at least 0")
@@ -94,15 +69,16 @@ def _summands(d: int, N: int, ring: Ring, k_max: int, cache: HomologyCache | Non
         raise ValueError("degree must be nonnegative")
     if d > k_max:
         raise ValueError(f"needs summands up to k={d}, beyond the configured bound {k_max}")
-    if cache is None or ring != Z:
-        _load_engine()
-        return [config_homology(k, SIGN, ring) for k in range(1, d + 1)]
-    tables = [cache.get(k) for k in range(1, d + 1)]
-    for k, table in enumerate(tables, 1):
+    cache = cache if ring == Z else None
+    tables = []
+    for k in range(1, d + 1):
+        table = None if cache is None else cache.get(k)
         if table is None:
-            _load_engine()
-            tables[k - 1] = table = config_homology(k, SIGN, Z)
-            cache.put(k, table)
+            from . import braid
+            table = braid.config_homology(k, SIGN, ring)
+            if cache is not None:
+                cache.put(k, table)
+        tables.append(table)
     return tables
 
 
@@ -193,8 +169,8 @@ def e1_page_hol(d: int, N: int, ring: Ring = Z, *, k_max: int = DEFAULT_K_MAX,
     return E1Page(ring, d, twist, {(0, 0): AbelianGroup(1), **entries})
 
 
-def omega_series(N: int, ring: Ring, through: int, *, k_max: int = DEFAULT_K_MAX) -> PoincareSeries:
-    """Poincare series of the double loop space of S^{2N-1} through ``through``.
+def omega_series(N: int, ring: Ring, through: int, *, k_max: int = DEFAULT_K_MAX) -> tuple[int, ...]:
+    """Dimensions of the homology of the double loop space of S^{2N-1} in degrees 0..``through``.
 
     The limit is the union of the summands D_k, k >= 0, shifted as in the
     rational-map space, and summand k starts in degree (2N-3)k: through degree
@@ -208,5 +184,4 @@ def omega_series(N: int, ring: Ring, through: int, *, k_max: int = DEFAULT_K_MAX
         raise ValueError("series dimensions need field coefficients (Q or F_p)")
     if through < 0:
         raise ValueError("through must be nonnegative")
-    table = hol_homology(through // (2 * N - 3), N, ring, k_max=k_max)
-    return PoincareSeries(tuple(table.dims(through)), through)
+    return tuple(hol_homology(through // (2 * N - 3), N, ring, k_max=k_max).dims(through))

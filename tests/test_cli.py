@@ -697,6 +697,53 @@ def test_a_failed_write_exits_one_with_the_error(tmp_path, capsys, monkeypatch, 
         assert out == ""
 
 
+class _FullStdout(io.StringIO):
+    def write(self, _text):
+        raise OSError(28, "No space left on device")
+
+
+def test_a_failing_stdout_with_json_exits_one_with_one_error_line(tmp_path, capsys, monkeypatch):
+    # the error document goes to the stdout that failed the answer, so it fails too: stderr keeps the one line
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    code = cli.main(["betti", "--d", "4", "--m", "1", "--n", "2", "--json", "--cache-dir", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == "polystab: error: [Errno 28] No space left on device\n"
+
+
+def _refused(capsys, command, argv, message):
+    """Refused with exit 1 and one error line, in text and in --json (which also prints the error document)."""
+    assert run(capsys, *argv) == (1, "", f"polystab: error: {message}\n")
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (1, f"polystab: error: {message}\n")
+    assert json.loads(out) == {"schema_version": 1, "command": command, "error": {"message": message}}
+
+
+def test_jet_with_a_closed_stdin_asks_for_input(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", None)  # what a process started with stdin closed sees
+    _refused(capsys, "jet", ("jet", "--n", "2"), "standard input is closed: pass --input")
+
+
+@pytest.mark.parametrize("line", ["0,0,1;1,1", "0,0,2;1,0,1"], ids=["degree", "monic"])
+def test_jet_refuses_an_entry_not_monic_of_the_first_entrys_degree(tmp_path, capsys, line):
+    source = tmp_path / "tuples.txt"
+    source.write_text(line + "\n")
+    _refused(capsys, "jet", ("jet", "--n", "2", "--input", str(source)), "entries must be monic of degree 2")
+
+
+def test_no_home_directory_refuses_what_needs_the_default_cache(capsys, monkeypatch):
+    def no_home(cls):
+        raise RuntimeError("Could not determine home directory.")
+
+    monkeypatch.setattr(Path, "home", classmethod(no_home))  # HOME unset, and no password entry for the uid
+    monkeypatch.delenv("POLYSTAB_CACHE")
+    monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+    message = "no home directory for the cache: pass --cache-dir or set POLYSTAB_CACHE"
+    _refused(capsys, "betti", ("betti", "--d", "4", "--m", "1", "--n", "2"), message)
+    _refused(capsys, "cache", ("cache", "stats"), message)
+    code, out, _ = run(capsys, "betti", "--d", "4", "--m", "1", "--n", "2", "--ring", "f2")
+    assert code == 0 and "H_3 = F2" in out  # a field table needs no cache
+
+
 # each export's home module, as the package imported them eagerly
 EXPORT_HOMES = {
     "abelian": "AbelianGroup GradedAbelianGroup invariant_factors",
@@ -708,7 +755,7 @@ EXPORT_HOMES = {
     "linalg": "",
     "poly": "Poly poly_gcd",
     "rings": "DEFAULT_K_MAX GF Q Ring Z parse_ring",
-    "spaces": "E1Page HomologyTable Params PoincareSeries e1_page_hol e1_page_poly hol_homology "
+    "spaces": "E1Page HomologyTable Params e1_page_hol e1_page_poly hol_homology "
               "omega_series poly_homology stability_dimension",
 }
 

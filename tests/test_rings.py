@@ -8,7 +8,7 @@ from polystab.ffield import FpTuple
 from polystab.jets import JetEquivalenceReport, QTuple
 from polystab.poly import Poly
 from polystab.rings import MILLER_RABIN_BOUND, Q, Ring, Value, is_prime, parse_ring
-from polystab.spaces import E1Page, HomologyTable, Params, PoincareSeries
+from polystab.spaces import E1Page, HomologyTable, Params
 from polystab.verify import CheckResult
 
 
@@ -63,8 +63,6 @@ VALUES = [
     (lambda: Params(4, 1, 2), {"d": 5}, "Params(d=4, m=1, n=2)"),
     (lambda: HomologyTable(GradedAbelianGroup({0: (1, ())}), Q), {"notes": ("a note",)},
      "HomologyTable(groups=GradedAbelianGroup(H_0 = Z), ring=Ring(label='Q', p=None), notes=())"),
-    (lambda: PoincareSeries((1, 0, 1), 2), {"coefficients": (1, 1, 1)},
-     "PoincareSeries(coefficients=(1, 0, 1), truncation=2)"),
     (lambda: E1Page(Q, 1, 2, {(0, 0): AbelianGroup(1)}), {"twist": 4},
      "E1Page(ring=Ring(label='Q', p=None), k_top=1, twist=2)"),
     (lambda: FpTuple((Poly(3, [1, 1]),), 1, 1, 2, 3), {"n": 3},
@@ -117,7 +115,6 @@ def test_values_keep_their_defaults_and_refuse_bad_fields():
     (lambda: AbelianGroup(-1), "nonnegative"),
     (lambda: Params(1, 1, 1), r"\(m, n\) = \(1, 1\) is excluded"),
     (lambda: SmithForm((2, 3), 2), "divisibility chain"),
-    (lambda: PoincareSeries((1, 2), 2), "one coefficient per degree"),
     (lambda: Params(2, 1, 2).replace(d=0), "must all be positive"),
 ])
 def test_value_post_init_still_validates(build, message):

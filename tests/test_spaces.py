@@ -152,12 +152,12 @@ def test_e1_bounds():
 
 def test_omega_series_rational():
     series = omega_series(2, Q, 7)
-    assert list(series.coefficients) == [1, 1, 0, 0, 0, 0, 0, 0]
+    assert list(series) == [1, 1, 0, 0, 0, 0, 0, 0]
 
 
 def test_omega_series_mod2_low_degrees():
     series = omega_series(2, GF(2), 7)
-    assert list(series.coefficients) == [1, 1, 1, 2, 2, 2, 3, 4]
+    assert list(series) == [1, 1, 1, 2, 2, 2, 3, 4]
 
 
 def test_omega_series_connectivity():
@@ -183,7 +183,7 @@ def test_omega_series_is_the_rational_map_table_read_through_its_degree(N, ring,
     limit = [sum(column) for column in zip(*loop_space_series(N, p, 15))]
     for through in range(16):
         table = hol_homology(through // (2 * N - 3), N, ring, k_max=15)
-        series = omega_series(N, ring, through, k_max=15).coefficients
+        series = omega_series(N, ring, through, k_max=15)
         assert list(series) == table.dims(through) == limit[:through + 1], through
 
 
@@ -196,7 +196,7 @@ def test_omega_series_calls_no_summand_of_its_own(monkeypatch):
 
     monkeypatch.setattr(spaces, "dk_homology", spy)  # the name the tracer wraps
     monkeypatch.setattr(braid, "dk_homology", spy)
-    assert list(omega_series(2, GF(2), 7).coefficients) == [1, 1, 1, 2, 2, 2, 3, 4]
+    assert list(omega_series(2, GF(2), 7)) == [1, 1, 1, 2, 2, 2, 3, 4]
     assert calls == []
 
 
@@ -224,7 +224,7 @@ def test_a_negative_summand_bound_is_refused_and_zero_admits_the_point():
             call()
     assert poly_homology(1, 2, 2, Z, k_max=0).groups == POINT
     assert e1_page_hol(0, 2, Z, k_max=0).nonzero_cells() == [(0, 0)]
-    assert omega_series(2, Q, 0, k_max=0).coefficients == (1,)
+    assert omega_series(2, Q, 0, k_max=0) == (1,)
 
 
 def _free_algebra_series(exterior_degrees, polynomial_degrees, through):
@@ -244,13 +244,13 @@ def _free_algebra_series(exterior_degrees, polynomial_degrees, through):
 def test_omega_series_mod3_matches_classical_answer():
     # double loops on S^3 mod 3: exterior on degrees 1 and 5, polynomial on 4
     got = omega_series(2, GF(3), 12, k_max=12)
-    assert list(got.coefficients) == _free_algebra_series([1, 5], [4], 12)
+    assert list(got) == _free_algebra_series([1, 5], [4], 12)
 
 
 def test_omega_series_sphere5_mod2_matches_classical_answer():
     # double loops on S^5 mod 2: polynomial on degrees 3, 7, 15, ...
     got = omega_series(3, GF(2), 15)
-    assert list(got.coefficients) == _free_algebra_series([], [3, 7, 15], 15)
+    assert list(got) == _free_algebra_series([], [3, 7, 15], 15)
 
 
 @pytest.mark.parametrize(
